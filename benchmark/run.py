@@ -4,9 +4,10 @@ client each, run from one Python process.
 
     python3 benchmark/run.py --workload encode_scan --seed 1 --seconds 15 --trace 0
 
-Run it from the repository root. It builds its inputs from the seed under
-``.bench/``, then three times sets up (``ray.init(num_cpus=1)`` for the Ray
-workloads and an untimed warm-up pass) and runs the closed loop for a third
+It works in the repository root whatever directory it is started from.
+It builds its inputs from the seed under ``.bench/``, then three times sets
+up (``ray.init(num_cpus=1)`` for the Ray workloads and an untimed warm-up
+pass) and runs the closed loop for a third
 of ``--seconds`` of operation time. It checks every result against a
 Ray-free reference and prints the end-to-end metrics; with ``--trace 1`` it
 prints the per-layer metrics instead (see README.md). The last line of
@@ -25,6 +26,12 @@ import sys
 import time
 import traceback
 
+# One BLAS/OpenMP thread in this process unless the environment asks for
+# more: Ray gets one CPU, and NumPy in the benchmark's own process should not
+# take more.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("RAY_USAGE_STATS_ENABLED", "0")
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
@@ -40,10 +47,13 @@ SETUPS = 3
 # One Ray CPU whatever the machine offers: the workloads are one-core by
 # design, and the execution shape must not change with the host.
 RAY_CPUS = 1
-# Ray's socket paths live under its temp dir and must fit in sun_path
-# (108 bytes); Ray adds a per-start directory of up to about 64 characters.
-RAY_SOCKET_SUFFIX = 64
-SUN_PATH_MAX = 107
+# A fixed object store, so the execution shape does not follow the host's
+# memory size (Ray's default is 30% of available memory, up to 10 GB).
+OBJECT_STORE_BYTES = 512 << 20
+# Everything Ray writes stays under the checkout, relative to the working
+# directory, which main() sets to the checkout root.
+RAY_DIR = os.path.join(".bench", "ray")
+PLASMA_DIR = os.path.join(".bench", "plasma")
 
 
 def process_age_s() -> float:
@@ -62,27 +72,49 @@ class LocalRay:
     def __init__(self):
         import ray
 
-        tmp = os.path.join(ROOT, ".bench", "ray")
-        if len(tmp) + RAY_SOCKET_SUFFIX > SUN_PATH_MAX:
-            print(
-                f"note: {tmp} is too long for Ray's socket paths; "
-                "using Ray's default temp dir",
-                file=sys.stderr,
-            )
-            tmp = None
-        before = set(os.listdir(tmp)) if tmp and os.path.isdir(tmp) else set()
-        ray.init(
-            address="local",
-            num_cpus=RAY_CPUS,
-            include_dashboard=False,
-            log_to_driver=False,
-            _temp_dir=tmp,
-        )
+        os.makedirs(RAY_DIR, exist_ok=True)
+        # Ray's Unix sockets live under its temp dir and must fit in
+        # sun_path (107 bytes) whatever the checkout's path; this process's
+        # /proc cwd link names the same directory in a short absolute path
+        # that every Ray process resolves while this process lives.
+        tmp = f"/proc/{os.getpid()}/cwd/{RAY_DIR}"
+        kwargs = {}
+        if _shm_free_bytes() < OBJECT_STORE_BYTES:
+            # Ray would fall back to the system temp dir
+            os.makedirs(PLASMA_DIR, exist_ok=True)
+            kwargs["_plasma_directory"] = os.path.abspath(PLASMA_DIR)
+            print("note: /dev/shm too small; object store in " + PLASMA_DIR,
+                  file=sys.stderr)
+        before = set(os.listdir(RAY_DIR))
+        for attempt in (1, 2):
+            try:
+                ray.init(
+                    address="local",
+                    num_cpus=RAY_CPUS,
+                    object_store_memory=OBJECT_STORE_BYTES,
+                    include_dashboard=False,
+                    log_to_driver=False,
+                    _temp_dir=tmp,
+                    **kwargs,
+                )
+                break
+            except Exception:
+                # a start that times out on a busy host is retried once
+                if attempt == 2:
+                    raise
+                print(f"note: ray.init failed, retrying:\n{traceback.format_exc()}",
+                      file=sys.stderr)
+                pids = measure.descendants(os.getpid())
+                ray.shutdown()
+                measure.stop_all(pids)
         ray.data.DataContext.get_current().enable_progress_bars = False
         self._ray = ray
         # the per-start directories this instance created, removed on close
-        new = set(os.listdir(tmp)) - before if tmp else set()
-        self._own = [os.path.join(tmp, d) for d in new if d.startswith("session_2")]
+        self._own = [
+            os.path.join(RAY_DIR, d)
+            for d in set(os.listdir(RAY_DIR)) - before
+            if d.startswith("session_2")
+        ]
 
     def close(self):
         pids = measure.descendants(os.getpid())
@@ -142,6 +174,14 @@ class Runner:
             busy += cycle_s
             rates.append(units / cycle_s)
         return lat, busy, rates
+
+
+def _shm_free_bytes() -> int:
+    try:
+        st = os.statvfs("/dev/shm")
+    except OSError:
+        return 0
+    return st.f_bavail * st.f_frsize
 
 
 def check_golden(w, out):
@@ -311,10 +351,13 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
+    # any integer names a seed; NumPy's seeding takes non-negative ones
+    args.seed %= 2**64
+
     if not os.path.isdir(os.path.join(ROOT, "spatialindex_ray")):
         print(f"error: no spatialindex_ray package under {ROOT}", file=sys.stderr)
         return 2
-    os.environ.setdefault("RAY_USAGE_STATS_ENABLED", "0")
+    os.chdir(ROOT)
     sys.path.insert(0, ROOT)
     import spatialindex_ray  # noqa: F401
 
