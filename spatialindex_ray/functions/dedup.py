@@ -395,7 +395,8 @@ sigv AS (
   SELECT dg.doc_id, perms.p,
          min(((dg.g * perms.a + perms.b) % {_W64}) % {_MERSENNE}) AS s
   FROM dg CROSS JOIN perms GROUP BY dg.doc_id, perms.p),
-sigl AS (SELECT doc_id, list(s ORDER BY p) AS sig FROM sigv GROUP BY doc_id),
+sigl AS MATERIALIZED (
+  SELECT doc_id, list(s ORDER BY p) AS sig FROM sigv GROUP BY doc_id),
 bands AS (
   SELECT doc_id, bb.band,
          ((((sig[4*bb.band+1] * 1099511628211) % {_W64} + sig[4*bb.band+2])

@@ -282,6 +282,20 @@ def tile_counts(ds, tile_deg: float, lon_col="lon", lat_col="lat"):
 
 
 # -------------------------------------------------------- hash exchange
+def block_refs(ds):
+    """The dataset's Arrow block refs, taken from a materialized dataset.
+
+    Call this instead of ``ds.to_arrow_refs()``. On a lazy dataset whose
+    schema Ray cannot infer (any map_batches output), to_arrow_refs() runs
+    the plan, then runs it again under limit(1) to fetch the schema and
+    cancels the tasks still running when the first block arrives. That
+    doubles the upstream work, and the cancel can race the task's completion
+    and abort the calling process ("Tried to complete task that was not
+    pending", Ray 2.49). A materialized dataset knows its schema.
+    """
+    return ds.materialize().to_arrow_refs()
+
+
 def hash_exchange_two_level(ds, key_col: str, n_shards: int, shard_fn, n_groups: int | None = None):
     """Two-level hash exchange: M map tasks split into G group pieces
     (contiguous shard ranges), G mid tasks gather their group and re-split
@@ -333,10 +347,10 @@ def hash_exchange_two_level(ds, key_col: str, n_shards: int, shard_fn, n_groups:
     def _reduce1(piece):
         return shard_fn(piece)
 
-    block_refs = ds.to_arrow_refs()
+    refs = block_refs(ds)
     grp_pieces = [
         _split_groups.options(num_returns=n_groups).remote(r, bounds)
-        for r in block_refs
+        for r in refs
     ]
     if n_groups == 1:
         grp_pieces = [[r] for r in grp_pieces]
@@ -424,14 +438,14 @@ def hash_exchange(ds, key_col: str, n_shards: int, shard_fn):
     # funnels the whole shuffle through the driver (measured: superlinear
     # collapse beyond ~10k pieces). Coalesce input blocks so M x S stays
     # bounded and pieces stay comfortably above the inline threshold.
-    block_refs = ds.to_arrow_refs()
-    if len(block_refs) * n_shards > 4096:
+    refs = block_refs(ds)
+    if len(refs) * n_shards > 4096:
         m_target = max(8, 4096 // n_shards)
-        ds = ray.data.from_arrow_refs(block_refs).repartition(m_target)
-        block_refs = ds.to_arrow_refs()
+        ds = ray.data.from_arrow_refs(refs).repartition(m_target)
+        refs = block_refs(ds)
     split_refs = [
         _split.options(num_returns=n_shards).remote(r, n_shards)
-        for r in block_refs
+        for r in refs
     ]
     if n_shards == 1:
         split_refs = [[r] for r in split_refs]
@@ -642,7 +656,7 @@ def radius_join(
     if exchange == "auto":
         import ray as _ray
 
-        refs = both.to_arrow_refs()
+        refs = block_refs(both)
         both = _ray.data.from_arrow_refs(refs)
         exchange = select_exchange(len(refs), n_shards)
     if exchange == "two_level":
@@ -953,12 +967,12 @@ def hash_exchange2(ds_a, ds_b, key_col_a, key_col_b, n_shards: int, shard_fn):
         return shard_fn(cat(parts[:n_a]), cat(parts[n_a:]))
 
     def _refs(ds):
-        refs = ds.to_arrow_refs()
+        refs = block_refs(ds)
         if len(refs) * n_shards > 2048:
             m_target = max(8, 2048 // n_shards)
             import ray as _r
 
-            refs = _r.data.from_arrow_refs(refs).repartition(m_target).to_arrow_refs()
+            refs = block_refs(_r.data.from_arrow_refs(refs).repartition(m_target))
         return refs
 
     refs_a = _refs(ds_a)
@@ -1080,7 +1094,7 @@ def equi_join(
         small_ds, big_ds = (
             (left_ds, right_ds) if broadcast == "left" else (right_ds, left_ds)
         )
-        blocks = ray.get(small_ds.to_arrow_refs())
+        blocks = ray.get(block_refs(small_ds))
         # upstream groupbys can emit zero-row EMPTY-SCHEMA blocks that poison
         # the concat — keep real blocks, else the widest empty for the schema
         good = [b for b in blocks if b.num_rows > 0]
@@ -1233,9 +1247,11 @@ def _filter_join(left_ds, right_ds, on, right_on, how, n_shards, broadcast):
             return pa.table({right_on: tbl[right_on].unique()})
 
         key_parts = ray.get(
-            right_ds.map_batches(
-                batch_keys, batch_format="pyarrow", batch_size=None
-            ).to_arrow_refs()
+            block_refs(
+                right_ds.map_batches(
+                    batch_keys, batch_format="pyarrow", batch_size=None
+                )
+            )
         )
         # drop nulls from the value set: pc.is_in treats a null IN the set as
         # matching null probes, which would leak null-keyed left rows through
@@ -2186,10 +2202,8 @@ def connected_components(
 
     edges_ds = edges_ds.materialize()
     if edges_ds.count() <= small_edge_limit:
-        edge_refs = edges_ds.select_columns(
-            [left_col, right_col]
-        ).to_arrow_refs()
-        node_refs = nodes_ds.select_columns([node_col]).to_arrow_refs()
+        edge_refs = block_refs(edges_ds.select_columns([left_col, right_col]))
+        node_refs = block_refs(nodes_ds.select_columns([node_col]))
 
         @ray.remote
         def _solve(n_edge_blocks, *blocks):

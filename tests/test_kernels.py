@@ -2,7 +2,9 @@
 (tests/fixtures/reference_conformance.json, produced by the compiled
 Caltech-IPAC/SpatialIndex build — see FIXTURES.md)."""
 
+import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -93,6 +95,162 @@ def test_tri_contains_own_point():
         assert (vec.dot(e0, v) >= -1e-12).all()
         assert (vec.dot(e1, v) >= -1e-12).all()
         assert (vec.dot(e2, v) >= -1e-12).all()
+
+
+# ----------------------------------------------- scalar htm_v3_id oracle
+# A plain-float port of htm_v3_id (htm.c:980-1033), independent of the
+# vectorized encoder: lazy edge tests in the C's order (sv0 and the later
+# edges are only computed when the earlier tests fail) and the C's float
+# op order in _htm_vertex, htm_v3_rcross and htm_v3_dot.
+_Z, _X, _Y = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+_NX, _NY, _NZ = (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)
+_ROOTS = [  # S0..S3, N0..N3 (htm.c:132-141)
+    (_X, _NZ, _Y), (_Y, _NZ, _NX), (_NX, _NZ, _NY), (_NY, _NZ, _X),
+    (_X, _Z, _NY), (_NY, _Z, _NX), (_NX, _Z, _Y), (_Y, _Z, _X),
+]
+
+
+def _scalar_root(x, y, z):
+    """_htm_v3_htmroot (htm.c:814-835)."""
+    if z < 0.0:
+        if y > 0.0:
+            return 0 if x > 0.0 else 1
+        if y == 0.0:
+            return 0 if x >= 0.0 else 2
+        return 2 if x < 0.0 else 3
+    if y > 0.0:
+        return 7 if x > 0.0 else 6
+    if y == 0.0:
+        return 7 if x >= 0.0 else 5
+    return 5 if x < 0.0 else 4
+
+
+def _vertex(a, b):
+    x, y, z = a[0] + b[0], a[1] + b[1], a[2] + b[2]
+    norm = math.sqrt(x * x + y * y + z * z)
+    return (x / norm, y / norm, z / norm)
+
+
+def _rcross_dot(v1, v2, p):
+    x1, x2 = v2[0] + v1[0], v2[0] - v1[0]
+    y1, y2 = v2[1] + v1[1], v2[1] - v1[1]
+    z1, z2 = v2[2] + v1[2], v2[2] - v1[2]
+    e = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+    return e[0] * p[0] + e[1] * p[1] + e[2] * p[2]
+
+
+def _scalar_descent(p, level):
+    """[(id, (v0, v1, v2)) after levels 0..level] for one point p."""
+    r = _scalar_root(*p)
+    v0, v1, v2 = _ROOTS[r]
+    hid = r + 8
+    path = [(hid, (v0, v1, v2))]
+    for _ in range(level):
+        sv1 = _vertex(v2, v0)
+        sv2 = _vertex(v0, v1)
+        if _rcross_dot(sv2, sv1, p) >= 0:
+            v1, v2, child = sv2, sv1, 0
+        else:
+            sv0 = _vertex(v1, v2)
+            if _rcross_dot(sv0, sv2, p) >= 0:
+                v0, v1, v2, child = v1, sv0, sv2, 1
+            elif _rcross_dot(sv1, sv0, p) >= 0:
+                v0, v1, v2, child = v2, sv1, sv0, 2
+            else:
+                v0, v1, v2, child = sv0, sv1, sv2, 3
+        hid = (hid << 2) + child
+        path.append((hid, (v0, v1, v2)))
+    return path
+
+
+EDGE_LEVELS = (0, 1, 3, 4, 5, 7, 12, 20, 24)
+
+
+@pytest.fixture(scope="module")
+def edge_points(points):
+    """Goldens, trixel vertices and centres (points on and next to edge
+    planes), the six axis points, signed-zero components, random points."""
+    ra, dec = points
+    parts = [vec.normalize(vec.sc_to_v3(ra, dec))]
+    rng = np.random.default_rng(7)
+    for level in range(1, 13):
+        ids = rng.integers(8 << 2 * level, 16 << 2 * level, 64)
+        verts, center, _ = htm.tri_geometry(ids)
+        parts += [verts.reshape(-1, 3), center]
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    planar = [(a, b, 0.0) for a, b in ((0.6, 0.8), (0.8, -0.6), (-0.28, 0.96))]
+    bases = np.vstack([axes] + [np.roll(planar, k, axis=1) for k in range(3)])
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=3)))
+    parts += [axes, (bases[:, None, :] * signs).reshape(-1, 3)]  # 0.0 * -1 = -0.0
+    lon = rng.uniform(0, 360, 1500)
+    lat = np.degrees(np.arcsin(rng.uniform(-1, 1, 1500)))
+    parts.append(vec.normalize(vec.sc_to_v3(lon, lat)))
+    pts = np.ascontiguousarray(np.vstack(parts))
+    paths = [_scalar_descent(tuple(p), max(EDGE_LEVELS)) for p in pts.tolist()]
+    oracle = np.array([[hid for hid, _ in path] for path in paths], dtype=np.int64)
+    return pts, oracle
+
+
+def test_htm_encoder_matches_scalar_oracle(edge_points):
+    """Bit-exact edge-plane decisions at every listed level, for one batch,
+    a batch split into chunks (over the chunk size) and small batches."""
+    pts, oracle = edge_points
+    tiled = np.tile(pts, (-(-(htm._CHUNK_ROWS + 1) // len(pts)), 1))
+    small = np.random.default_rng(3).choice(len(pts), 256, replace=False)
+    assert (np.signbit(pts) & (pts == 0.0)).any()
+    for level in EDGE_LEVELS:
+        want = oracle[:, level]
+        np.testing.assert_array_equal(htm.v3_id(pts, level), want, err_msg=str(level))
+        got = htm.v3_id(tiled, level)
+        np.testing.assert_array_equal(got, np.resize(want, len(tiled)), err_msg=str(level))
+        got = np.concatenate([htm.v3_id(b, level) for b in np.split(pts[small], 32)])
+        np.testing.assert_array_equal(got, want[small], err_msg=str(level))
+
+
+def test_htm_encoder_shapes():
+    """One 1-D point, an empty batch, and levels outside 0..24 (zeros)."""
+    p = np.array([0.6, 0.0, 0.8])
+    want = _scalar_descent(tuple(p), 20)[20][0]
+    assert htm.v3_id(p, 20).tolist() == [want]
+    empty = htm.v3_id(np.zeros((0, 3)), 20)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    for level in (-1, htm.HTM_MAX_LEVEL + 1):
+        out = htm.v3_id(np.tile(p, (3, 1)), level)
+        assert out.dtype == np.int64 and out.tolist() == [0, 0, 0]
+
+
+def test_tri_geometry_matches_scalar_oracle():
+    """tri_geometry's vertices are the oracle's final vertices, bit for bit."""
+    rng = np.random.default_rng(11)
+    lon = rng.uniform(0, 360, 2000)
+    lat = np.degrees(np.arcsin(rng.uniform(-1, 1, 2000)))
+    pts = vec.normalize(vec.sc_to_v3(lon, lat))
+    paths = [_scalar_descent(tuple(p), 11) for p in pts.tolist()]
+    for level in (3, 7, 11):
+        ids = htm.v3_id(pts, level)
+        verts, _, _ = htm.tri_geometry(ids)
+        want = np.array([path[level][1] for path in paths])
+        assert [path[level][0] for path in paths] == ids.tolist()
+        np.testing.assert_array_equal(verts.view(np.uint64), want.view(np.uint64))
+
+
+def test_encode_udf_pickles_small():
+    """The closure ops.encode hands to map_batches ships the package by
+    value; it must stay small after the encoder has run in the calling
+    process, so no kernel cache ends up in every task."""
+    cloudpickle = pytest.importorskip("ray.cloudpickle")
+    from spatialindex_ray import ops
+
+    rng = np.random.default_rng(0)
+    htm.v3_id(vec.normalize(rng.normal(size=(50_000, 3))), 20)
+
+    class Capture:
+        def map_batches(self, fn, **kw):
+            self.fn = fn
+            return self
+
+    udf = ops.encode(Capture(), url_col="url").fn
+    assert len(cloudpickle.dumps(udf)) < 256 * 1024
 
 
 def test_hpx_roundtrip_center():

@@ -110,7 +110,6 @@ def test_pcsa_trailing_zero_block():
         [1, 2, 3, 4, 8, 12, 1 << 20, (1 << 20) + (1 << 5), 7, 6],
         dtype=np.uint64,
     )
-    tz = np.zeros(len(vals), dtype=np.int64)
     rr = vals.copy()
     t = np.zeros(rr.shape, dtype=np.int64)
     for shift in (32, 16, 8, 4, 2, 1):
