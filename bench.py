@@ -71,15 +71,12 @@ def headline_spatial_join_tiles(n_pages: int) -> dict:
     enc_id = enc.map_batches(add_id, batch_format="pyarrow", batch_size=None).materialize()
     order = ops.safe_join_order(JOIN_THETA_DEG)
     # shard count caps at 512 (hash_exchange piece budget: M x S pieces
-    # must stay ~4096 and above Ray's ~100 KB inline threshold)
+    # must stay within ops.EXCHANGE_PIECE_BUDGET and above Ray's ~100 KB
+    # inline threshold)
     n_shards = min(512, max(NUM_CPUS * 4, n_pages // 4_000))
-    # BENCH_EXCHANGE=two_level routes the join through the M*G + S piece
-    # topology (ops.hash_exchange_two_level) — same pairs, cluster-scale
-    # object-count shape; default stays the flat exchange (VERDICT r2 item 8)
-    exchange = os.environ.get("BENCH_EXCHANGE", "flat")
     n_pairs = ops.radius_join(
         enc_id, enc_id, JOIN_THETA_DEG, id_col="row_id", order=order,
-        n_shards=n_shards, exchange=exchange,
+        n_shards=n_shards,
     ).count()
 
     tiles = ops.tile_counts(enc_id, TILE_DEG)

@@ -296,78 +296,11 @@ def block_refs(ds):
     return ds.materialize().to_arrow_refs()
 
 
-def hash_exchange_two_level(ds, key_col: str, n_shards: int, shard_fn, n_groups: int | None = None):
-    """Two-level hash exchange: M map tasks split into G group pieces
-    (contiguous shard ranges), G mid tasks gather their group and re-split
-    into S/G shards, reduce tasks consume exactly ONE piece each.
-
-    Scale shape vs the flat exchange: object count M*G + S instead of M*S,
-    and reduce fan-in 1 instead of M — the right topology once M*S outgrows
-    a few thousand pieces (e.g. 10^4 blocks x 10^3 shards on a cluster).
-    Each mid task materializes ~1/G of the data — size G so that fits a
-    worker. Single-node benches keep the flat exchange (lower latency)."""
-    import ray
-
-    if n_groups is None:
-        n_groups = max(1, int(math.isqrt(n_shards)))
-    n_groups = min(n_groups, n_shards)
-    # shard s belongs to group s * G // S (contiguous ranges)
-    bounds = [(g * n_shards) // n_groups for g in range(n_groups + 1)]
-
-    @ray.remote
-    def _split_groups(tbl: pa.Table, bnds):
-        keys = tbl[key_col].to_numpy(zero_copy_only=False)
-        order = np.argsort(keys, kind="stable")
-        sorted_tbl = tbl.take(pa.array(order))
-        sk = keys[order]
-        cuts = np.searchsorted(sk, np.asarray(bnds))
-        return tuple(
-            sorted_tbl.slice(cuts[g], cuts[g + 1] - cuts[g])
-            for g in range(len(bnds) - 1)
-        )
-
-    @ray.remote
-    def _mid(g_lo, g_hi, *pieces):
-        nonempty = [p for p in pieces if len(p)]
-        if not nonempty:
-            empty = pieces[0]
-            return tuple(empty for _ in range(g_hi - g_lo))
-        tbl = pa.concat_tables(nonempty)
-        keys = tbl[key_col].to_numpy(zero_copy_only=False)
-        order = np.argsort(keys, kind="stable")
-        sorted_tbl = tbl.take(pa.array(order))
-        sk = keys[order]
-        cuts = np.searchsorted(sk, np.arange(g_lo, g_hi + 1))
-        return tuple(
-            sorted_tbl.slice(cuts[i], cuts[i + 1] - cuts[i])
-            for i in range(g_hi - g_lo)
-        )
-
-    @ray.remote
-    def _reduce1(piece):
-        return shard_fn(piece)
-
-    refs = block_refs(ds)
-    grp_pieces = [
-        _split_groups.options(num_returns=n_groups).remote(r, bounds)
-        for r in refs
-    ]
-    if n_groups == 1:
-        grp_pieces = [[r] for r in grp_pieces]
-    out = []
-    for g in range(n_groups):
-        lo, hi = bounds[g], bounds[g + 1]
-        if hi == lo:
-            continue
-        shards = _mid.options(num_returns=max(hi - lo, 1)).remote(
-            lo, hi, *[grp_pieces[m][g] for m in range(len(grp_pieces))]
-        )
-        if hi - lo == 1:
-            shards = [shards]
-        out.extend(_reduce1.remote(s) for s in shards)
-    import ray as _r
-
-    return _r.data.from_arrow_refs(out)
+# piece-count budget of one exchange: M input blocks x S shards pieces per
+# side. Past it the pieces fall under Ray's ~100 KB inline threshold and the
+# shuffle funnels through the driver (measured superlinear collapse beyond
+# ~10k pieces), so hash_exchange coalesces its inputs to stay within it.
+EXCHANGE_PIECE_BUDGET = 4096
 
 
 def hash_exchange(ds, key_col: str, n_shards: int, shard_fn):
@@ -377,15 +310,31 @@ def hash_exchange(ds, key_col: str, n_shards: int, shard_fn):
     access pattern, and its hash-shuffle strategy spawns one aggregator
     actor per partition — pathological on few nodes).
 
-    ds rows must carry an integer column ``key_col`` in [0, n_shards).
-    shard_fn: pyarrow.Table -> pyarrow.Table, applied once per shard with
-    all of that shard's rows. Returns a Dataset of the shard outputs.
+    One-sided: ``ds`` is a Dataset whose rows carry an integer column
+    ``key_col`` in [0, n_shards); ``shard_fn(table) -> table`` runs once per
+    shard with all of that shard's rows. Two-sided (co-partitioning, for
+    joins): ``ds`` is a tuple of Datasets that all carry ``key_col``, and
+    ``shard_fn(table_a, table_b, ...)`` gets one table per side. Returns a
+    Dataset of the shard outputs, in shard order.
 
-    Scale shape: M map tasks x n_shards object-store partitions (zero-copy
-    Arrow slices), n_shards reduce tasks; identical to a cluster-wide
-    hash shuffle — partition count should be ~2-4x total cores.
+    Empty shards: each side's table is the concatenation of its non-empty
+    pieces. A side with no rows in a shard gets its widest-schema empty
+    piece instead, preferring one with NO null-typed columns, so shard_fn
+    can still supply the output schema. Ray groupby can emit zero-row blocks
+    with an EMPTY schema (which reach shard_fn as zero-column tables when
+    nothing wider exists), and from_pandas on a zero-row object column
+    infers Arrow type null, which downstream .to_numpy()/cast kernels
+    mishandle (ADVICE r3).
+
+    Scale shape: M map tasks x n_shards object-store partitions per side
+    (zero-copy Arrow slices), n_shards reduce tasks; identical to a
+    cluster-wide hash shuffle — partition count should be ~2-4x total
+    cores. Each side is coalesced so its M x S pieces stay within
+    EXCHANGE_PIECE_BUDGET / (number of sides).
     """
     import ray
+
+    sides = ds if isinstance(ds, tuple) else (ds,)
 
     @ray.remote
     def _split(tbl: pa.Table, nsh: int):
@@ -409,48 +358,44 @@ def hash_exchange(ds, key_col: str, n_shards: int, shard_fn):
             for s in range(nsh)
         )
 
+    def _side_table(pieces) -> pa.Table:
+        nonempty = [p for p in pieces if len(p)]
+        if nonempty:
+            return pa.concat_tables(nonempty)
+        return max(
+            pieces,
+            key=lambda p: (
+                p.num_columns,
+                sum(not pa.types.is_null(f.type) for f in p.schema),
+            ),
+        )
+
     @ray.remote
-    def _reduce(*parts):
+    def _reduce(n_pieces, *parts):
         # n_shards == 1: Ray does NOT unpack a num_returns=1 task's tuple,
         # so each part arrives as a 1-tuple of Table — unwrap it
-        parts = tuple(p[0] if isinstance(p, tuple) else p for p in parts)
-        nonempty = [p for p in parts if len(p)]
-        if not nonempty:
-            # empty shard: hand shard_fn the widest-schema empty slice so
-            # it can supply the output schema (schema-less blocks from an
-            # upstream groupby carry no columns at all). Among equal-width
-            # donors prefer one with NO null-typed columns — from_pandas on
-            # a zero-row object column infers Arrow type null, which
-            # downstream .to_numpy()/cast kernels mishandle (ADVICE r3).
-            return shard_fn(
-                max(
-                    parts,
-                    key=lambda p: (
-                        p.num_columns,
-                        sum(not pa.types.is_null(f.type) for f in p.schema),
-                    ),
-                )
-            )
-        return shard_fn(pa.concat_tables(nonempty))
+        parts = [p[0] if isinstance(p, tuple) else p for p in parts]
+        tables, lo = [], 0
+        for n in n_pieces:
+            tables.append(_side_table(parts[lo:lo + n]))
+            lo += n
+        return shard_fn(*tables)
 
-    # Keep exchange pieces LARGE: Ray inlines objects under ~100 KB through
-    # the owner process, so an M-blocks x n_shards exchange of tiny pieces
-    # funnels the whole shuffle through the driver (measured: superlinear
-    # collapse beyond ~10k pieces). Coalesce input blocks so M x S stays
-    # bounded and pieces stay comfortably above the inline threshold.
-    refs = block_refs(ds)
-    if len(refs) * n_shards > 4096:
-        m_target = max(8, 4096 // n_shards)
-        ds = ray.data.from_arrow_refs(refs).repartition(m_target)
-        refs = block_refs(ds)
-    split_refs = [
-        _split.options(num_returns=n_shards).remote(r, n_shards)
-        for r in refs
-    ]
+    budget = EXCHANGE_PIECE_BUDGET // len(sides)
+    split_refs = []
+    for side in sides:
+        refs = block_refs(side)
+        if len(refs) * n_shards > budget:
+            m_target = max(8, budget // n_shards)
+            refs = block_refs(ray.data.from_arrow_refs(refs).repartition(m_target))
+        split_refs.append(
+            [_split.options(num_returns=n_shards).remote(r, n_shards) for r in refs]
+        )
     if n_shards == 1:
-        split_refs = [[r] for r in split_refs]
+        split_refs = [[[r] for r in refs] for refs in split_refs]
+    n_pieces = [len(refs) for refs in split_refs]
     out = [
-        _reduce.remote(*[split_refs[m][s] for m in range(len(split_refs))])
+        _reduce.remote(n_pieces, *[piece[s] for refs in split_refs for piece in refs])
         for s in range(n_shards)
     ]
     return ray.data.from_arrow_refs(out)
@@ -477,20 +422,6 @@ def _patch_cells(order, pix):
 
 _SHARD_MIX = np.uint64(0x9E3779B97F4A7C15)
 
-# piece-count budget above which the flat M x S exchange collapses (pieces
-# fall under Ray's ~100 KB inline threshold and funnel through the driver —
-# measured superlinear; see hash_exchange docstring)
-EXCHANGE_PIECE_BUDGET = 4096
-
-
-def select_exchange(n_blocks: int, n_shards: int) -> str:
-    """Exchange-topology selection rule (VERDICT r3 item 7): the flat
-    exchange moves M x S pieces; once that exceeds EXCHANGE_PIECE_BUDGET the
-    two-level M*G + S topology wins (bounded object count, reduce fan-in 1).
-    Below the budget flat stays the default — lower latency, no mid tasks."""
-    return "two_level" if n_blocks * n_shards > EXCHANGE_PIECE_BUDGET else "flat"
-
-
 def radius_join(
     left_ds,
     right_ds,
@@ -504,7 +435,6 @@ def radius_join(
     id_col="doc_id",
     hpx_col="hpx20",
     hpx_level=20,
-    exchange: str = "auto",
     with_dist2: bool = False,
 ):
     """Distributed point-point radius join (engine addition per north_rule).
@@ -534,8 +464,8 @@ def radius_join(
         order = safe_join_order(radius_deg)
     coarse_order = max(order - coarse_levels, 0)
     cshift = 2 * (order - coarse_order)
-    # shard-count cap: M x S exchange pieces must stay ~4096 and above
-    # Ray's ~100 KB inline threshold (see hash_exchange docstring)
+    # shard-count cap: M x S exchange pieces must stay within
+    # EXCHANGE_PIECE_BUDGET and above Ray's ~100 KB inline threshold
     n_shards = min(n_shards, 512)
     shift = 2 * (hpx_level - order)
     s = math.sin(radius_deg * 0.5 * RAD)
@@ -647,20 +577,6 @@ def radius_join(
             cols["dist2"] = pa.array(d2[m])
         return pa.table(cols)
 
-    # ``exchange="two_level"`` routes the same shard stream through the
-    # M*G + S piece topology (hash_exchange_two_level) — identical pairs by
-    # construction; the right choice once M*S outgrows a few thousand
-    # pieces on a cluster. ``"auto"`` (the default) applies select_exchange
-    # on the REAL block count (to_arrow_refs executes the upstream map —
-    # both topologies do that first anyway, so this costs nothing extra).
-    if exchange == "auto":
-        import ray as _ray
-
-        refs = block_refs(both)
-        both = _ray.data.from_arrow_refs(refs)
-        exchange = select_exchange(len(refs), n_shards)
-    if exchange == "two_level":
-        return hash_exchange_two_level(both, "shard", n_shards, join_shard)
     return hash_exchange(both, "shard", n_shards, join_shard)
 
 
@@ -923,80 +839,6 @@ def dedup_rows(
 
 
 # ------------------------------------------------------------- equi-join
-def hash_exchange2(ds_a, ds_b, key_col_a, key_col_b, n_shards: int, shard_fn):
-    """Two-sided hash exchange: co-partition two datasets by their (integer,
-    [0, n_shards)) key columns and apply shard_fn(table_a, table_b) once per
-    shard. Same raw-task exchange and large-piece rules as hash_exchange.
-    NOTE: callers must key by `key % n_shards` AFTER this clamp — pass the
-    already-clamped value (both call sites use <= 512)."""
-    import ray
-
-    def _mk_split(key_col):
-        @ray.remote
-        def _split(tbl: pa.Table, nsh: int):
-            # same empty-block passthrough coercion as hash_exchange._split
-            if not isinstance(tbl, pa.Table):
-                tbl = pa.Table.from_pandas(tbl, preserve_index=False)
-            if tbl.num_rows == 0 or key_col not in tbl.schema.names:
-                empty = tbl.slice(0, 0)
-                return tuple(empty for _ in range(nsh))
-            keys = tbl[key_col].to_numpy(zero_copy_only=False)
-            order = np.argsort(keys, kind="stable")
-            sorted_tbl = tbl.take(pa.array(order))
-            sk = keys[order]
-            bounds = np.searchsorted(sk, np.arange(nsh + 1))
-            return tuple(
-                sorted_tbl.slice(bounds[s], bounds[s + 1] - bounds[s])
-                for s in range(nsh)
-            )
-
-        return _split
-
-    @ray.remote
-    def _reduce(n_a, *parts):
-        # n_shards == 1: unwrap the 1-tuples a num_returns=1 task returns
-        parts = tuple(p[0] if isinstance(p, tuple) else p for p in parts)
-
-        def cat(ps):
-            # drop schema-less empties (groupby artifacts); if ALL pieces
-            # are schema-less the side is truly empty — keep one so the
-            # shard_fn sees a (zero-column) table and can handle it
-            good = [p for p in ps if p.num_columns] or list(ps[:1])
-            return pa.concat_tables(good)
-
-        return shard_fn(cat(parts[:n_a]), cat(parts[n_a:]))
-
-    def _refs(ds):
-        refs = block_refs(ds)
-        if len(refs) * n_shards > 2048:
-            m_target = max(8, 2048 // n_shards)
-            import ray as _r
-
-            refs = block_refs(_r.data.from_arrow_refs(refs).repartition(m_target))
-        return refs
-
-    refs_a = _refs(ds_a)
-    refs_b = _refs(ds_b)
-    split_a = _mk_split(key_col_a)
-    split_b = _mk_split(key_col_b)
-    parts_a = [split_a.options(num_returns=n_shards).remote(r, n_shards) for r in refs_a]
-    parts_b = [split_b.options(num_returns=n_shards).remote(r, n_shards) for r in refs_b]
-    if n_shards == 1:
-        parts_a = [[r] for r in parts_a]
-        parts_b = [[r] for r in parts_b]
-    out = [
-        _reduce.remote(
-            len(parts_a),
-            *[parts_a[m][s] for m in range(len(parts_a))],
-            *[parts_b[m][s] for m in range(len(parts_b))],
-        )
-        for s in range(n_shards)
-    ]
-    import ray as _r
-
-    return _r.data.from_arrow_refs(out)
-
-
 _BCAST_CACHE: dict = {}
 
 
@@ -1125,7 +967,7 @@ def equi_join(
 
     left = left_ds.map_batches(_shard_tagger(on, n_shards), batch_format="pyarrow", batch_size=None)
     right = right_ds.map_batches(_shard_tagger(right_on, n_shards), batch_format="pyarrow", batch_size=None)
-    return hash_exchange2(left, right, "_shard", "_shard", n_shards, join_shard)
+    return hash_exchange((left, right), "_shard", n_shards, join_shard)
 
 
 def _drop_shard(t: pa.Table) -> pa.Table:
@@ -1284,7 +1126,7 @@ def _filter_join(left_ds, right_ds, on, right_on, how, n_shards, broadcast):
 
     left = left_ds.map_batches(_shard_tagger(on, n_shards), batch_format="pyarrow", batch_size=None)
     right = right_ds.map_batches(_shard_tagger(right_on, n_shards), batch_format="pyarrow", batch_size=None)
-    return hash_exchange2(left, right, "_shard", "_shard", n_shards, filter_shard)
+    return hash_exchange((left, right), "_shard", n_shards, filter_shard)
 
 
 def detect_hot_keys(ds, col: str, *, frac_threshold: float = 0.05, max_keys: int = 64):
@@ -1414,7 +1256,7 @@ def _salted_join(left_ds, right_ds, on, right_on, how, n_shards, hot_keys, n_sal
 
     left = left_ds.map_batches(tag_left, batch_format="pyarrow", batch_size=None)
     right = right_ds.map_batches(tag_right, batch_format="pyarrow", batch_size=None)
-    return hash_exchange2(left, right, "_shard", "_shard", total, join_shard)
+    return hash_exchange((left, right), "_shard", total, join_shard)
 
 
 def asof_join(
@@ -1476,7 +1318,7 @@ def asof_join(
 
     left = left_ds.map_batches(_shard_tagger(by, n_shards), batch_format="pyarrow", batch_size=None)
     right = right_ds.map_batches(_shard_tagger(right_by, n_shards), batch_format="pyarrow", batch_size=None)
-    return hash_exchange2(left, right, "_shard", "_shard", n_shards, join_shard)
+    return hash_exchange((left, right), "_shard", n_shards, join_shard)
 
 
 def attach_columns(
@@ -2349,9 +2191,7 @@ def connected_components(
         labels_tagged = labels.map_batches(
             _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
         )
-        cand = hash_exchange2(
-            edges, labels_tagged, "_shard", "_shard", n_shards, prop_shard
-        )
+        cand = hash_exchange((edges, labels_tagged), "_shard", n_shards, prop_shard)
         # min-combine via the repo's hash exchange (segment-min per shard)
         # rather than Ray's sort-based groupby: no per-round global sort,
         # and no schema-less empty blocks in the loop state
@@ -2370,8 +2210,8 @@ def connected_components(
         by_node = labels.map_batches(
             _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
         )
-        labels = hash_exchange2(
-            by_label, by_node, "_shard", "_shard", n_shards, shortcut_shard
+        labels = hash_exchange(
+            (by_label, by_node), "_shard", n_shards, shortcut_shard
         ).materialize()
         cur = labels.sum("label")
         if cur == prev_sum:
@@ -2523,8 +2363,8 @@ def pagerank_int(
     degs_tagged = degs.map_batches(
         _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
     )
-    ranks = hash_exchange2(
-        nodes_tagged, degs_tagged, "_shard", "_shard", n_shards, attach_deg
+    ranks = hash_exchange(
+        (nodes_tagged, degs_tagged), "_shard", n_shards, attach_deg
     ).materialize()
 
     def contrib_shard(te: pa.Table, tl: pa.Table) -> pa.Table:
@@ -2595,9 +2435,7 @@ def pagerank_int(
         ranks_tagged = ranks.map_batches(
             _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
         )
-        contrib = hash_exchange2(
-            edges, ranks_tagged, "_shard", "_shard", n_shards, contrib_shard
-        )
+        contrib = hash_exchange((edges, ranks_tagged), "_shard", n_shards, contrib_shard)
         contrib_tagged = contrib.map_batches(
             _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
         )
@@ -2605,8 +2443,8 @@ def pagerank_int(
         sums_tagged = sums.map_batches(
             _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
         )
-        ranks = hash_exchange2(
-            ranks_tagged, sums_tagged, "_shard", "_shard", n_shards, update_shard
+        ranks = hash_exchange(
+            (ranks_tagged, sums_tagged), "_shard", n_shards, update_shard
         ).materialize()
 
     def project(tbl: pa.Table) -> pa.Table:
@@ -2695,7 +2533,7 @@ def bfs_hops(
         lt = labels.map_batches(
             _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
         )
-        cand = hash_exchange2(edges, lt, "_shard", "_shard", n_shards, expand_shard)
+        cand = hash_exchange((edges, lt), "_shard", n_shards, expand_shard)
         tagged = labels.union(cand).map_batches(
             _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
         )

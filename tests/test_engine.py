@@ -361,41 +361,6 @@ def test_outer_right_joins_match_pandas(ray_session):
     pd.testing.assert_frame_equal(got, exp)
 
 
-def test_two_level_exchange_matches_flat(ray_session):
-    """hash_exchange_two_level == hash_exchange for an arbitrary shard
-    reducer (per-shard sorted key checksum)."""
-    import pyarrow as pa
-
-    import ray
-
-    rng = np.random.RandomState(11)
-    n = 40000
-    tbl = pa.table(
-        {
-            "shard": pa.array(rng.randint(0, 37, n).astype(np.int64)),
-            "val": pa.array(rng.randint(0, 1 << 40, n).astype(np.int64)),
-        }
-    )
-    ds = ray.data.from_arrow(tbl).repartition(9)
-
-    def reducer(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({"shard": pa.array([], type=pa.int64()),
-                             "checksum": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64())})
-        sh = t["shard"].to_numpy(zero_copy_only=False)
-        v = np.sort(t["val"].to_numpy(zero_copy_only=False))
-        return pa.table({"shard": pa.array([int(sh[0])]),
-                         "checksum": pa.array([int(v.sum() % (1 << 62))]),
-                         "n": pa.array([len(v)])})
-
-    flat = ops.hash_exchange(ds, "shard", 37, reducer).to_pandas()
-    two = ops.hash_exchange_two_level(ds, "shard", 37, reducer, n_groups=5).to_pandas()
-    flat = flat.sort_values("shard").reset_index(drop=True)
-    two = two.sort_values("shard").reset_index(drop=True)
-    pd.testing.assert_frame_equal(flat, two)
-
-
 def test_filter_join_plans_agree(ray_session):
     """Semi/anti joins: broadcast (distinct-key ship) == hash-exchange plan."""
     import ray
@@ -1156,14 +1121,3 @@ def test_substring_cut_shard_invariance(ray_session):
     # one doc per duplicate group keeps its full text (min doc of the
     # corpus-wide duplicate set has n_removed 0 unless covered elsewhere)
     assert (a["n_removed"] == 0).any()
-
-
-def test_select_exchange_rule():
-    """VERDICT r3 item 7: auto topology picks two_level exactly when the
-    flat exchange's M x S piece count exceeds the documented budget."""
-    assert ops.select_exchange(8, 512) == "flat"  # 4096 == budget, not over
-    assert ops.select_exchange(9, 512) == "two_level"
-    assert ops.select_exchange(1, 1) == "flat"
-    assert ops.select_exchange(10_000, 512) == "two_level"
-    assert ops.select_exchange(16, 256) == "flat"
-    assert ops.select_exchange(17, 256) == "two_level"
