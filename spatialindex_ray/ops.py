@@ -1,8 +1,11 @@
 """Dataset -> Dataset spatial operators (the Ray-Data-native engine core).
 
 Every operator is a composable function over ``ray.data.Dataset`` built from
-``map_batches(batch_format="pyarrow", batch_size=None)`` + vectorized NumPy kernels, with
-``groupby`` only for genuinely wide steps (cell joins). Query plans (range
+``map_batches(batch_format="pyarrow", batch_size=None)`` + vectorized NumPy
+kernels. Wide steps go through one hash exchange (``hash_exchange``): joins
+co-partition on it, and keyed aggregations run on it as ``keyed_fold``
+(per-block partial, exchange, per-shard combine over sorted key runs);
+some operators still use Ray ``groupby``. Query plans (range
 arrays, predicate coefficients) are tiny driver-side objects captured in task
 closures — Ray ships them once per task, not per batch.
 
@@ -264,9 +267,10 @@ def tile_region_search(
 
 
 def tile_counts(ds, tile_deg: float, lon_col="lon", lat_col="lat"):
-    """Per-tile row counts with partial pre-aggregation: each batch shrinks
-    to its distinct tiles before the (tiny) groupby-sum shuffle — the same
-    combiner shape as cell_counts."""
+    """Per-tile row counts: each block shrinks to its distinct tiles and
+    their counts, and ``keyed_fold`` sums those partials per tile. Returns
+    int64 columns ``tile_id`` and ``sum(partial)``, one row per occupied
+    tile, in no global order."""
 
     def partial(tbl: pa.Table) -> pa.Table:
         t = tile_assign_batch(tbl, tile_deg, lon_col=lon_col, lat_col=lat_col)
@@ -274,11 +278,7 @@ def tile_counts(ds, tile_deg: float, lon_col="lon", lat_col="lat"):
         uniq, cnt = np.unique(tiles, return_counts=True)
         return pa.table({"tile_id": pa.array(uniq), "partial": pa.array(cnt)})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("tile_id")
-        .sum("partial")
-    )
+    return keyed_fold(ds, "tile_id", partial, _sum_combine("tile_id", "partial"))
 
 
 # -------------------------------------------------------- hash exchange
@@ -401,6 +401,96 @@ def hash_exchange(ds, key_col: str, n_shards: int, shard_fn):
     return ray.data.from_arrow_refs(out)
 
 
+# shard-count cap of the exchange's users: M x S exchange pieces must stay
+# within EXCHANGE_PIECE_BUDGET and above Ray's ~100 KB inline threshold
+MAX_SHARDS = 512
+
+_SHARD_MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
+
+
+def _hash_shard(keys: np.ndarray, n_shards: int) -> np.ndarray:
+    """Shard of each integer key: golden-ratio multiplicative hash
+    (wrapping uint64) modulo n_shards, as int64."""
+    with np.errstate(over="ignore"):
+        mixed = np.asarray(keys).astype(np.uint64) * _SHARD_MIX
+    return (mixed % np.uint64(n_shards)).astype(np.int64)
+
+
+def keyed_fold(ds, key_col: str, partial, combine):
+    """Keyed aggregation on the one hash exchange: a per-block partial,
+    ``hash_exchange`` of the partial rows by key, and a per-shard combine.
+
+    ``partial(table) -> table`` runs once per block and emits the integer
+    column ``key_col`` plus its value columns. On a lazy ``ds`` it fuses
+    with the stages that produce ``ds``, and only its output is
+    materialized, never the input rows. A partial row goes to shard
+    ``_hash_shard(key, n_shards)``, where ``n_shards`` is the partial
+    dataset's block count capped at MAX_SHARDS (the partition count Ray's
+    sort-shuffle groupby would use). Each shard
+    sorts its rows by key, and ``combine(table, starts, lengths) -> table``
+    gets that sorted table with the start and length of every run of equal
+    keys; it returns one row per key (for counts, ``np.add.reduceat``). Null
+    keys form one group, sorted last, as in SQL ``GROUP BY``. Every key
+    appears in exactly one shard; the output has no global key order.
+
+    Ray passes zero-row blocks through map_batches without calling the UDF,
+    so they reach the exchange untagged, with their upstream schema. A shard
+    whose table is such a block (it got no rows, and an untagged empty piece
+    was the widest) returns a zero-row, zero-column table, as Ray groupby
+    does for an empty partition.
+    """
+    from ray.data.dataset import MaterializedDataset
+
+    # n_shards must be known before the rows are tagged. A materialized
+    # input has as many blocks as its partials will have, so partial and tag
+    # run as one stage; a lazy input's block count is known only once it has
+    # run, so its partials (fused with the stages upstream) run and
+    # materialize first, and the tag runs as a second, partial-sized stage.
+    fused = isinstance(ds, MaterializedDataset)
+    if not fused:
+        ds = ds.map_batches(partial, batch_format="pyarrow", batch_size=None).materialize()
+    n_shards = min(ds.num_blocks(), MAX_SHARDS)
+
+    def tag(tbl: pa.Table) -> pa.Table:
+        if fused:
+            tbl = partial(tbl)
+        keys = pc.fill_null(tbl[key_col], 0).to_numpy(zero_copy_only=False)
+        return tbl.append_column("_shard", pa.array(_hash_shard(keys, n_shards)))
+
+    def fold_shard(tbl: pa.Table) -> pa.Table:
+        if "_shard" not in tbl.schema.names:
+            return pa.table({})
+        tbl = tbl.select([c for c in tbl.schema.names if c != "_shard"])
+        tbl = tbl.take(
+            pc.sort_indices(tbl, [(key_col, "ascending")], null_placement="at_end")
+        )
+        n, n_valid = tbl.num_rows, tbl.num_rows - tbl[key_col].null_count
+        keys = tbl[key_col].slice(0, n_valid).to_numpy(zero_copy_only=False)
+        starts = np.flatnonzero(np.r_[n_valid > 0, keys[1:] != keys[:-1]])
+        if n_valid < n:
+            starts = np.append(starts, n_valid)
+        return combine(tbl, starts, np.diff(np.append(starts, n)))
+
+    tagged = ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
+    return hash_exchange(tagged, "_shard", n_shards, fold_shard)
+
+
+def _sum_combine(key_col: str, value_col: str):
+    """keyed_fold combine summing one integer column per key into int64
+    ``sum(value_col)`` (Ray groupby's column name)."""
+
+    def combine(tbl: pa.Table, starts, lengths) -> pa.Table:
+        v = tbl[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table(
+            {
+                key_col: tbl[key_col].take(pa.array(starts, pa.int64())),
+                f"sum({value_col})": pa.array(np.add.reduceat(v, starts)),
+            }
+        )
+
+    return combine
+
+
 # ------------------------------------------------ cell join (radius join)
 def safe_join_order(radius_deg: float, max_order: int = 18) -> int:
     """Largest HEALPix order whose 3x3 neighbor patch provably covers a
@@ -419,8 +509,6 @@ def _patch_cells(order, pix):
     nb = healpix.neighbors(order, pix)
     return np.column_stack([pix, nb])
 
-
-_SHARD_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 def radius_join(
     left_ds,
@@ -464,17 +552,10 @@ def radius_join(
         order = safe_join_order(radius_deg)
     coarse_order = max(order - coarse_levels, 0)
     cshift = 2 * (order - coarse_order)
-    # shard-count cap: M x S exchange pieces must stay within
-    # EXCHANGE_PIECE_BUDGET and above Ray's ~100 KB inline threshold
-    n_shards = min(n_shards, 512)
+    n_shards = min(n_shards, MAX_SHARDS)
     shift = 2 * (hpx_level - order)
     s = math.sin(radius_deg * 0.5 * RAD)
     thresh = 4.0 * s * s
-    nsh = np.uint64(n_shards)
-
-    def _shard_of(coarse: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return ((coarse.astype(np.uint64) * _SHARD_MIX) % nsh).astype(np.int64)
 
     def explode_left(tbl: pa.Table) -> pa.Table:
         pix = tbl[hpx_col].to_numpy(zero_copy_only=False) >> shift
@@ -489,7 +570,7 @@ def radius_join(
         route = cs.ravel()[keep.ravel()]
         return pa.table(
             {
-                "shard": pa.array(_shard_of(route)),
+                "shard": pa.array(_hash_shard(route, n_shards)),
                 "coarse": pa.array(route),
                 "cell": pa.array(pix[rep]),
                 "side": pa.array(np.zeros(len(rep), dtype=np.int8)),
@@ -505,7 +586,7 @@ def radius_join(
         coarse = pix >> cshift
         return pa.table(
             {
-                "shard": pa.array(_shard_of(coarse)),
+                "shard": pa.array(_hash_shard(coarse, n_shards)),
                 "coarse": pa.array(coarse),
                 "cell": pa.array(pix),
                 "side": pa.array(np.ones(len(tbl), dtype=np.int8)),
@@ -894,7 +975,7 @@ def equi_join(
     shard and duplicate the join output. Inner/left joins only (semi/anti
     never need it: their right side reduces to distinct keys)."""
     right_on = right_on or on
-    n_shards = min(n_shards, 512)
+    n_shards = min(n_shards, MAX_SHARDS)
     if not isinstance(on, str):
         # COMPOSITE key join: the exchange tagger chains the column hashes
         # (_shard_tagger) and pandas merges on the list. Semi/anti and
@@ -1288,7 +1369,7 @@ def asof_join(
     pattern from dedup_rows."""
     right_by = right_by or by
     right_on = right_on or on
-    n_shards = min(n_shards, 512)
+    n_shards = min(n_shards, MAX_SHARDS)
 
     def join_shard(ta: pa.Table, tb: pa.Table) -> pa.Table:
         import pandas as pd
@@ -1783,8 +1864,10 @@ def hll_distinct(ds, group_col: str, key_col: str, b: int = _HLL_B):
 
 def cell_counts(ds, cell_col: str, out_level: int, data_level: int = 20):
     """Per-cell point counts at out_level (tree-node counts analog,
-    SURVEY §2.7 A1): derive the coarse cell by shift inside map_batches
-    (a partial pre-aggregation), then a small groupby-sum shuffle."""
+    SURVEY §2.7 A1): each block derives the coarse cell by shift and counts
+    its distinct cells, and ``keyed_fold`` sums those partials per cell.
+    Returns int64 columns ``cell`` and ``sum(partial_count)``, one row per
+    occupied cell, in no global order."""
     shift = 2 * (data_level - out_level)
 
     def partial(tbl: pa.Table) -> pa.Table:
@@ -1792,11 +1875,7 @@ def cell_counts(ds, cell_col: str, out_level: int, data_level: int = 20):
         uniq, cnt = np.unique(cells, return_counts=True)
         return pa.table({"cell": pa.array(uniq), "partial_count": pa.array(cnt)})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("cell")
-        .sum("partial_count")
-    )
+    return keyed_fold(ds, "cell", partial, _sum_combine("cell", "partial_count"))
 
 
 # ------------------------------------------------------ interval (band) join

@@ -210,3 +210,182 @@ def test_empty_shard_gets_widest_typed_piece(ray_session):
     got = ops.hash_exchange(ds, "_shard", 2, schema_of).to_pandas()
     assert got["n"].tolist() == [2, 0]
     assert got["schema"].tolist() == ["_shard:int64,name:string"] * 2
+
+
+# ------------------------------------------------------------- keyed_fold
+def _count_sum_fold():
+    """(partial, combine) of a per-key row count and value sum. The partial
+    pre-aggregates each block with Arrow's group_by (null keys form one
+    group there too); the combine adds the partials per key segment."""
+
+    def partial(tbl: pa.Table) -> pa.Table:
+        g = tbl.group_by("k").aggregate([("v", "count"), ("v", "sum")])
+        return g.select(["k", "v_count", "v_sum"])
+
+    def combine(tbl: pa.Table, starts, lengths) -> pa.Table:
+        assert (lengths > 0).all() and lengths.sum() == tbl.num_rows
+        cols = {"k": tbl["k"].take(pa.array(starts, pa.int64()))}
+        for c in ("v_count", "v_sum"):
+            v = tbl[c].to_numpy(zero_copy_only=False).astype(np.int64)
+            cols[c] = pa.array(np.add.reduceat(v, starts), pa.int64())
+        return pa.table(cols)
+
+    return partial, combine
+
+
+def _fold_reference(frame: pd.DataFrame) -> pd.DataFrame:
+    ref = frame.groupby("k", dropna=False)["v"].agg(["count", "sum"]).reset_index()
+    ref.columns = ["k", "v_count", "v_sum"]
+    return ref
+
+
+def _sorted(frame: pd.DataFrame) -> pd.DataFrame:
+    out = frame[["k", "v_count", "v_sum"]].astype(
+        {"k": "Int64", "v_count": "int64", "v_sum": "int64"}
+    )
+    return out.sort_values("k", na_position="last").reset_index(drop=True)
+
+
+def _kv(rng, n, n_keys, hot=None):
+    k = np.full(n, hot) if hot is not None else rng.randint(0, n_keys, n)
+    return pd.DataFrame(
+        {"k": k.astype(np.int64), "v": rng.randint(0, 1 << 30, n).astype(np.int64)}
+    )
+
+
+def _fold_zero_row_arrow(ray, rng):
+    frames = [_kv(rng, n, 50) for n in (0, 300, 0, 500, 0)]
+    return _arrow_blocks(ray, frames), pd.concat(frames)
+
+
+def _fold_groupby_empty_schema(ray, rng):
+    raw = pd.DataFrame(
+        {"k0": rng.randint(0, 5, 60).astype(np.int64), "v": rng.randint(0, 1000, 60)}
+    )
+    grouped = ray.data.from_pandas(raw).repartition(8).groupby("k0").sum("v")
+    blocks = ray.get(ops.block_refs(grouped))
+    assert any(b.num_rows == 0 and b.num_columns == 0 for b in blocks)
+
+    def rekey(tbl: pa.Table) -> pa.Table:
+        k = tbl["k0"].to_numpy(zero_copy_only=False)
+        return pa.table({"k": pa.array(k % 3), "v": tbl["sum(v)"].cast(pa.int64())})
+
+    sums = raw.groupby("k0")["v"].sum()
+    ref = pd.DataFrame({"k": sums.index.to_numpy() % 3, "v": sums.to_numpy(np.int64)})
+    return grouped.map_batches(rekey, batch_format="pyarrow", batch_size=None), ref
+
+
+def _fold_zero_row_pandas(ray, rng):
+    empty = pd.DataFrame(
+        {
+            "k": pd.Series([], dtype="int64"),
+            "v": pd.Series([], dtype="int64"),
+            "name": pd.Series([], dtype=object),
+        }
+    )
+    rows = _kv(rng, 400, 40)
+    rows["name"] = rows["v"].astype(str)
+    return ray.data.from_pandas([empty]).union(_arrow_blocks(ray, [rows])), rows
+
+
+def _fold_one_block(ray, rng):
+    rows = _kv(rng, 600, 30)
+    return _arrow_blocks(ray, [rows]), rows
+
+
+def _fold_hot_key(ray, rng):
+    frames = [_kv(rng, 250, 0, hot=7) for _ in range(4)]
+    return _arrow_blocks(ray, frames), pd.concat(frames)
+
+
+def _fold_over_cap(ray, rng):
+    frames = [_kv(rng, 4, 3000) for _ in range(ops.MAX_SHARDS + 8)]
+    return _arrow_blocks(ray, frames), pd.concat(frames)
+
+
+def _fold_null_keys(ray, rng):
+    # nulls next to key 0, which hashes to the same shard as a null
+    frames = []
+    for n in (200, 150, 250):
+        f = _kv(rng, n, 6)
+        f["k"] = pd.array(f["k"], dtype="Int64")
+        f.loc[rng.rand(n) < 0.2, "k"] = pd.NA
+        frames.append(f)
+    ds = ray.data.from_arrow(
+        [pa.Table.from_pandas(f, preserve_index=False) for f in frames]
+    )
+    return ds, pd.concat(frames)
+
+
+FOLD_CASES = {
+    "zero_row_arrow": (_fold_zero_row_arrow, 5),
+    "groupby_empty_schema": (_fold_groupby_empty_schema, None),
+    "zero_row_pandas": (_fold_zero_row_pandas, 2),
+    "one_block": (_fold_one_block, 1),
+    "hot_key": (_fold_hot_key, 4),
+    "over_cap": (_fold_over_cap, ops.MAX_SHARDS),
+    "null_keys": (_fold_null_keys, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_keyed_fold_matches_pandas_groupby(ray_session, case):
+    """keyed_fold with a count/sum combine equals pandas
+    groupby(dropna=False) on the block shapes Ray produces; every key
+    (the null key included) comes out exactly once, and the output has
+    one block per shard (the partial's block count, capped)."""
+    import ray
+
+    make, n_shards = FOLD_CASES[case]
+    ds, frame = make(ray, np.random.RandomState(sum(map(ord, case))))
+    partial, combine = _count_sum_fold()
+    out = ops.keyed_fold(ds, "k", partial, combine).materialize()
+    if n_shards is not None:
+        assert out.num_blocks() == n_shards
+    got = out.to_pandas()
+    assert not got["k"].duplicated().any()
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(_fold_reference(frame)))
+
+
+def _lonlat_blocks(rng, sizes):
+    out = []
+    for n in sizes:
+        lon = rng.uniform(0.0, 360.0, n)
+        lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
+        if n:  # a few rows on tile edges and the poles
+            lon[:3], lat[:3] = [0.0, 359.5, 12.0], [-90.0, 45.0, 89.999]
+        cell = rng.randint(0, 12 * 4**20, n, dtype=np.int64)
+        out.append(pa.table({"lon": lon, "lat": lat, "hpx20": cell}))
+    return out
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_tile_and_cell_counts_contract(ray_session, lazy):
+    """tile_counts and cell_counts on a multi-block input: int64 columns
+    (tile_id, sum(partial)) and (cell, sum(partial_count)), every key once,
+    counts equal to np.unique over all rows. ``lazy`` routes the input
+    through a map stage, so the partials run fused upstream and materialize
+    first; otherwise partial and tag run as one stage over the blocks."""
+    import ray
+
+    blocks = _lonlat_blocks(np.random.RandomState(11), (700, 0, 1300, 40, 900))
+    ds = ray.data.from_arrow(blocks)
+    if lazy:
+        ds = ds.map_batches(lambda t: t, batch_format="pyarrow", batch_size=None)
+    rows = pa.concat_tables(blocks)
+
+    tiles = ops.tile_assign_batch(rows, 1.0)["tile_id"].to_numpy()
+    cells = rows["hpx20"].to_numpy() >> (2 * (20 - 5))
+    for out, key, val, keys in (
+        (ops.tile_counts(ds, 1.0), "tile_id", "sum(partial)", tiles),
+        (ops.cell_counts(ds, "hpx20", out_level=5), "cell", "sum(partial_count)", cells),
+    ):
+        got = pa.concat_tables([t for t in ray.get(ops.block_refs(out)) if t.num_rows])
+        assert got.column_names == [key, val]
+        assert got.schema.types == [pa.int64(), pa.int64()]
+        k = got[key].to_numpy()
+        assert len(np.unique(k)) == len(k)
+        order = np.argsort(k)
+        uniq, cnt = np.unique(keys, return_counts=True)
+        np.testing.assert_array_equal(k[order], uniq)
+        np.testing.assert_array_equal(got[val].to_numpy()[order], cnt)

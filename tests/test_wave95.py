@@ -58,3 +58,32 @@ def test_data_contract_brute(ray_session):
     for rule, nv in want.items():
         assert out.loc[rule, "n_violations"] == nv
         assert out.loc[rule, "n_rows"] == n
+
+
+def test_data_contract_counts_null_event_type(ray_session, tmp_path):
+    """A null event_type is a type_enum violation, next to a value outside
+    EVENT_TYPES, within one block."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(
+        pa.table(
+            {
+                "event_id": pa.array([1, 2, 3, 4], pa.int64()),
+                "user_id": pa.array([10, 10, 11, 12], pa.int64()),
+                "event_type": pa.array(["click", None, "bogus", "view"]),
+                "value": pa.array([1.0, 2.0, -1.0, 3.0]),
+                "props": pa.array(["a", None, "c", "d"]),
+            }
+        ),
+        tmp_path / "events.parquet",
+    )
+    pq.write_table(
+        pa.table({"c_custkey": pa.array([10, 11], pa.int64())}),
+        tmp_path / "customer.parquet",
+    )
+    out = entry._data_contract_report(str(tmp_path)).to_pandas().set_index("rule")
+    assert out["n_violations"].to_dict() == {
+        "value_range": 1, "type_enum": 2, "props_present": 1, "user_fk": 1,
+    }
+    assert (out["n_rows"] == 4).all()

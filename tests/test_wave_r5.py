@@ -74,19 +74,38 @@ def test_str_pack_slice_starts_closed_form():
             )
 
 
-def test_fps_first_step_is_min_id_and_monotone():
-    x, y = entry._fps_coords(np.arange(64, dtype=np.int64))
-    # greedy min-dists are non-increasing across steps by construction
-    chosen = [0]
-    mind = (x - x[0]) ** 2 + (y - y[0]) ** 2
-    picks = []
-    for _ in range(5):
-        b = int(np.argmax(mind))
-        picks.append(int(mind[b]))
-        d2 = (x - x[b]) ** 2 + (y - y[b]) ** 2
-        mind = np.minimum(mind, d2)
-        chosen.append(b)
-    assert picks == sorted(picks, reverse=True)
+def test_farthest_point_sample_matches_brute_greedy(ray_session, tmp_path):
+    """_farthest_point_sample over a small documents.parquet equals a
+    brute-force O(n*K) greedy written from its docstring: start at the
+    minimum doc_id, then FPS_K-1 times take the point with the largest
+    minimum squared distance to the chosen set, ties to the smallest
+    doc_id."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.RandomState(161)
+    ids = rng.choice(np.arange(1, 1_000_000, dtype=np.int64), 300, replace=False)
+    pq.write_table(
+        pa.table({"doc_id": pa.array(ids), "title": [f"d{i}" for i in ids]}),
+        tmp_path / "documents.parquet",
+        row_group_size=64,
+    )
+    got = entry._farthest_point_sample(str(tmp_path)).to_pylist()
+
+    xs, ys = entry._fps_coords(ids)
+    pts = {int(d): (int(x), int(y)) for d, x, y in zip(ids, xs, ys)}
+
+    def d2(a, b):
+        return (pts[a][0] - pts[b][0]) ** 2 + (pts[a][1] - pts[b][1]) ** 2
+
+    chosen = [min(pts)]
+    want = [(0, chosen[0], 0)]
+    for step in range(1, entry.FPS_K):
+        # largest distance to the chosen set; on a tie, the smallest doc_id
+        far, neg_id = max((min(d2(d, c) for c in chosen), -d) for d in pts)
+        chosen.append(-neg_id)
+        want.append((step, -neg_id, far))
+    assert [(r["step"], r["doc_id"], r["d2_to_set"]) for r in got] == want
 
 
 def test_bizdays_formula_matches_calendar():
