@@ -195,6 +195,7 @@ def run_suite() -> dict:
             ignore_reinit_error=True,
         )
     import __ray_entry__ as entry
+    import spatialindex_ray
 
     results: dict[str, float] = {}
     extras: dict[str, dict] = {}
@@ -354,6 +355,9 @@ def run_suite() -> dict:
         "headline_rows_per_sec": round(extras["spatial_join_tiles"]["rows_per_sec"], 1),
         "encode_rows_per_sec": round(extras["encode_1m"]["rows_per_sec"], 1),
         "health_probe_8proc_iters": health,
+        # "by_value" means workers could not import the package and every
+        # UDF carries the engine's code: slower, and worth knowing
+        "udf_shipping": spatialindex_ray._udf_shipping(),
         "extended_n": len(extended),
         "extended_total_s": round(sum(v for v in extended.values() if v > 0), 3),
         "extended_sidecar": sidecar,

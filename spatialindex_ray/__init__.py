@@ -14,6 +14,9 @@ Layout:
     state/     manifest / checkpoint / lineage helpers
 """
 
+import os as _os
+import sys as _sys
+
 __version__ = "0.1.0"
 
 # Keep glibc from mmap()ing large NumPy temporaries: mmap'd blocks are
@@ -36,14 +39,65 @@ try:  # public API surface; kernels usable standalone during bootstrap
 except ImportError:  # pragma: no cover
     pass
 
-# Ray workers may be launched before this repo lands on sys.path (callers
-# ray.init() from an arbitrary cwd, then import us). Ship the library by
-# value inside task closures so workers never need to import it from disk.
-try:  # pragma: no cover - environment-dependent
-    import sys as _sys
 
-    from ray import cloudpickle as _rcp
+def _udf_shipping(*modules) -> str:
+    """How engine code reaches Ray workers: ``"by_name"`` or ``"by_value"``.
 
-    _rcp.register_pickle_by_value(_sys.modules[__name__])
-except Exception:
-    pass
+    By name, a pickled UDF names the engine functions it calls
+    (``spatialindex_ray.ops...``) and each worker imports the package once;
+    the encode closure pickles to under 1 KB. By value, cloudpickle copies
+    the code of every engine module into every UDF (about 190 KB each) and
+    the driver re-pickles it for every query. By value is therefore only
+    the fallback for workers that cannot import the package:
+
+    - Ray not initialized yet: the package root goes first on
+      ``PYTHONPATH``, which the local cluster a later ``ray.init`` starts
+      hands to every worker. A cluster that is already running does not
+      see it: a driver that joins one must give its workers the package
+      (``ray job submit --working-dir``, or an installed copy).
+    - Ray already initialized (the ``__ray_entry__`` driver contract): one
+      task asks a worker whether it finds the package. Only if it does not
+      are the package and ``modules`` registered to pickle by value.
+
+    Decided once per process, at the package's import; later calls return
+    the same answer (and register ``modules`` by value under the fallback).
+    """
+    global _SHIPPING
+    if _SHIPPING is None:
+        _SHIPPING = _decide_shipping()
+    if _SHIPPING == "by_value":
+        from ray import cloudpickle
+
+        for mod in (_sys.modules[__name__], *modules):
+            cloudpickle.register_pickle_by_value(mod)
+    return _SHIPPING
+
+
+def _decide_shipping() -> str:
+    try:
+        import ray
+    except ImportError:  # pragma: no cover - the planner API runs without Ray
+        return "by_name"
+    if not ray.is_initialized():
+        root = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
+        paths = [p for p in _os.environ.get("PYTHONPATH", "").split(_os.pathsep) if p]
+        if root not in paths:
+            _os.environ["PYTHONPATH"] = _os.pathsep.join([root, *paths])
+        return "by_name"
+    if ray.get_runtime_context().worker.mode == ray.WORKER_MODE:
+        return "by_name"  # a worker that just imported the package by name
+
+    def importable() -> bool:  # nested, so it pickles by value
+        import importlib.util
+
+        return importlib.util.find_spec("spatialindex_ray") is not None
+
+    try:
+        probe = ray.remote(num_cpus=0)(importable).remote()
+        return "by_name" if ray.get(probe, timeout=120) else "by_value"
+    except ray.exceptions.RayError:  # no answer proves nothing: fall back
+        return "by_value"
+
+
+_SHIPPING = None
+_udf_shipping()

@@ -24,9 +24,10 @@ component through a 4-children x 3-vertices slot table, not a chain of
 ``tri_geometry`` runs the same descent with the children read from the ids.
 
 There is deliberately no module-level cache (of trixel tables or
-workspaces): the package is pickled by value into Ray task closures
-(``__init__.py``), so module globals travel with every task, and each
-worker would rebuild the cache anyway.
+workspaces). Workers import the package by name, so each worker process
+would build its own copy; and where they cannot, the package is pickled by
+value into every Ray task closure (``spatialindex_ray._udf_shipping``),
+and the cache would travel with every task.
 """
 
 from __future__ import annotations

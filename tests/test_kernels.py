@@ -235,11 +235,12 @@ def test_tri_geometry_matches_scalar_oracle():
 
 
 def test_encode_udf_pickles_small():
-    """The closure ops.encode hands to map_batches ships the package by
-    value; it must stay small after the encoder has run in the calling
-    process, so no kernel cache ends up in every task."""
+    """The closures ops.encode and ops.region_search hand to map_batches
+    name the engine's functions instead of carrying their code (about
+    190 KB by value), and stay small after the encoder has run in the
+    calling process, so no kernel cache ends up in every task."""
     cloudpickle = pytest.importorskip("ray.cloudpickle")
-    from spatialindex_ray import ops
+    from spatialindex_ray import SpatialIndex, ops
 
     rng = np.random.default_rng(0)
     htm.v3_id(vec.normalize(rng.normal(size=(50_000, 3))), 20)
@@ -250,7 +251,10 @@ def test_encode_udf_pickles_small():
             return self
 
     udf = ops.encode(Capture(), url_col="url").fn
-    assert len(cloudpickle.dumps(udf)) < 256 * 1024
+    assert len(cloudpickle.dumps(udf)) < 16 * 1024
+    plan = SpatialIndex().cone_plan(129.4, 43.7, 0.5, mode=1, level=10)
+    udf = ops.region_search(Capture(), plan).fn
+    assert len(cloudpickle.dumps(udf)) < 16 * 1024
 
 
 def test_hpx_roundtrip_center():

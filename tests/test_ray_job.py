@@ -18,6 +18,8 @@ def test_ray_job_end_to_end_and_resume(ray_session, tmp_path, capsys):
     stages = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l.startswith("{")]
     by = {s["stage"]: s for s in stages}
     assert by["index_build"]["rows"] == 3000
+    # pytest runs from the repo root, so workers import the package by name
+    assert by["input"]["udf_shipping"] == "by_name"
     assert by["index_build"]["partitions"] == 8
     assert by["query_tile"]["hit_rows"] > 0
     assert by["query_tile"]["tiles"] > 0

@@ -60,9 +60,14 @@ def test_data_contract_brute(ray_session):
         assert out.loc[rule, "n_rows"] == n
 
 
-def test_data_contract_counts_null_event_type(ray_session, tmp_path):
-    """A null event_type is a type_enum violation, next to a value outside
-    EVENT_TYPES, within one block."""
+NULL_TYPE_WANT = {
+    "value_range": 1, "type_enum": 2, "props_present": 1, "user_fk": 1,
+}
+
+
+def _write_null_type_tables(sf_dir):
+    """4 events: one null and one 'bogus' event_type, one negative value,
+    one null props, one user missing from customer."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -76,14 +81,33 @@ def test_data_contract_counts_null_event_type(ray_session, tmp_path):
                 "props": pa.array(["a", None, "c", "d"]),
             }
         ),
-        tmp_path / "events.parquet",
+        sf_dir / "events.parquet",
     )
     pq.write_table(
         pa.table({"c_custkey": pa.array([10, 11], pa.int64())}),
-        tmp_path / "customer.parquet",
+        sf_dir / "customer.parquet",
     )
+
+
+def test_data_contract_counts_null_event_type(ray_session, tmp_path):
+    """A null event_type is a type_enum violation, next to a value outside
+    EVENT_TYPES, within one block."""
+    _write_null_type_tables(tmp_path)
     out = entry._data_contract_report(str(tmp_path)).to_pandas().set_index("rule")
-    assert out["n_violations"].to_dict() == {
-        "value_range": 1, "type_enum": 2, "props_present": 1, "user_fk": 1,
-    }
+    assert out["n_violations"].to_dict() == NULL_TYPE_WANT
+    assert (out["n_rows"] == 4).all()
+
+
+def test_data_contract_oracle_counts_null_event_type(tmp_path):
+    """The DuckDB oracle applies the same null rule as the engine."""
+    import duckdb
+
+    _write_null_type_tables(tmp_path)
+    con = duckdb.connect()
+    for t in ("events", "customer"):
+        con.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{tmp_path / t}.parquet')"
+        )
+    out = con.execute(entry._data_contract_oracle()).df().set_index("rule")
+    assert out["n_violations"].to_dict() == NULL_TYPE_WANT
     assert (out["n_rows"] == 4).all()

@@ -68,6 +68,7 @@ def main(argv=None) -> int:
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
                  include_dashboard=False)
 
+    import spatialindex_ray
     from spatialindex_ray import SpatialIndex, ops, pipelines
     from spatialindex_ray.sources import webpages
     from spatialindex_ray.state.manifest import Manifest
@@ -105,7 +106,10 @@ def main(argv=None) -> int:
     if not files:
         print(f"no input files match {args.input}", file=sys.stderr)
         return 2
-    _emit(manifest, "input", n_files=len(files), wall_s=round(time.time() - t0, 3))
+    # "by_value": workers cannot import the package (run from the repo or
+    # with --working-dir to get "by_name"), so every UDF carries its code
+    _emit(manifest, "input", n_files=len(files), wall_s=round(time.time() - t0, 3),
+          udf_shipping=spatialindex_ray._udf_shipping())
 
     # Stage 1.5 (optional): exact content dedup — keep the min-url row per
     # distinct text (the Common-Crawl dedup step). One text-hash exchange;
