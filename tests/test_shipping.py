@@ -39,7 +39,7 @@ def _drive(cwd, body: str, **consts) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "-c", head + body + "ray.shutdown()\n"],
-        cwd=str(cwd), env=env, capture_output=True, text=True, timeout=600,
+        cwd=str(cwd), env=env, capture_output=True, text=True, timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
     return dict(
