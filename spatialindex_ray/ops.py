@@ -5,7 +5,11 @@ Every operator is a composable function over ``ray.data.Dataset`` built from
 kernels. Wide steps go through one hash exchange (``hash_exchange``): joins
 co-partition on it, and keyed aggregations run on it as ``keyed_fold``
 (per-block partial, exchange, per-shard combine over sorted key runs);
-some operators still use Ray ``groupby``. Query plans (range
+some operators still use Ray ``groupby``. The per-block map that keys rows
+for an exchange (a shard tag, the radius join's probe explode, a fold's
+partial) is passed to it as ``map_fn``: on a materialized input it runs
+inside the exchange's raw split tasks, so Ray Data's stats do not see it,
+and on a lazy input it fuses upstream as a ``map_batches``. Query plans (range
 arrays, predicate coefficients) are tiny driver-side objects captured in task
 closures — Ray ships them once per task, not per batch.
 
@@ -303,7 +307,7 @@ def block_refs(ds):
 EXCHANGE_PIECE_BUDGET = 4096
 
 
-def hash_exchange(ds, key_col: str, n_shards: int, shard_fn):
+def hash_exchange(ds, key_col: str, n_shards: int, shard_fn, *, map_fn=None):
     """Deterministic hash-partitioned exchange + per-shard apply, built on
     raw Ray tasks (the documented last-resort: Ray Data's sort-based
     groupby().map_groups() measured 5-6x slower than the sort itself on this
@@ -316,6 +320,19 @@ def hash_exchange(ds, key_col: str, n_shards: int, shard_fn):
     joins): ``ds`` is a tuple of Datasets that all carry ``key_col``, and
     ``shard_fn(table_a, table_b, ...)`` gets one table per side. Returns a
     Dataset of the shard outputs, in shard order.
+
+    ``map_fn`` is the per-block map that adds ``key_col`` (and may reshape
+    the rows): one ``fn(table) -> table`` for every side, or a tuple with
+    one per side; ``None`` means the side's blocks already carry
+    ``key_col``. On a materialized side (``.materialize()``, ``from_arrow*``
+    and every ``hash_exchange`` output) the split task applies it to each
+    block before splitting it, so no Ray Data execution runs before the
+    shuffle; the function ships once per exchange, inside the split task's
+    definition. A lazy side, and a materialized side over the piece budget
+    (coalesced on Ray Data, below), get it appended instead as
+    ``map_batches(batch_format="pyarrow", batch_size=None)``, which fuses
+    with the stages upstream. Zero-row blocks stay untagged either way: Ray
+    Data never calls a UDF on them, and the split task follows that rule.
 
     Empty shards: each side's table is the concatenation of its non-empty
     pieces. A side with no rows in a shard gets its widest-schema empty
@@ -333,11 +350,25 @@ def hash_exchange(ds, key_col: str, n_shards: int, shard_fn):
     EXCHANGE_PIECE_BUDGET / (number of sides).
     """
     import ray
+    from ray.data.dataset import MaterializedDataset
 
     sides = ds if isinstance(ds, tuple) else (ds,)
+    maps = map_fn if isinstance(map_fn, tuple) else (map_fn,) * len(sides)
+    budget = EXCHANGE_PIECE_BUDGET // len(sides)
+    mapped, split_maps = [], []
+    for side, fn in zip(sides, maps):
+        # an over-budget side maps before the coalescing copies its rows
+        in_split = (
+            isinstance(side, MaterializedDataset)
+            and side.num_blocks() * n_shards <= budget
+        )
+        if fn is not None and not in_split:
+            side, fn = side.map_batches(fn, batch_format="pyarrow", batch_size=None), None
+        mapped.append(side)
+        split_maps.append(fn)
 
     @ray.remote
-    def _split(tbl: pa.Table, nsh: int):
+    def _split(tbl: pa.Table, nsh: int, side: int):
         # Ray groupby can emit zero-row blocks with an EMPTY schema, which
         # map_batches passes through untagged — route them as empty slices.
         # It also passes zero-row blocks through map_batches WITHOUT format
@@ -345,6 +376,8 @@ def hash_exchange(ds, key_col: str, n_shards: int, shard_fn):
         # arrive here untouched — coerce.
         if not isinstance(tbl, pa.Table):
             tbl = pa.Table.from_pandas(tbl, preserve_index=False)
+        if tbl.num_rows and split_maps[side] is not None:
+            tbl = split_maps[side](tbl)
         if tbl.num_rows == 0 or key_col not in tbl.schema.names:
             empty = tbl.slice(0, 0)
             return tuple(empty for _ in range(nsh))
@@ -381,15 +414,14 @@ def hash_exchange(ds, key_col: str, n_shards: int, shard_fn):
             lo += n
         return shard_fn(*tables)
 
-    budget = EXCHANGE_PIECE_BUDGET // len(sides)
     split_refs = []
-    for side in sides:
+    for i, side in enumerate(mapped):
         refs = block_refs(side)
         if len(refs) * n_shards > budget:
             m_target = max(8, budget // n_shards)
             refs = block_refs(ray.data.from_arrow_refs(refs).repartition(m_target))
         split_refs.append(
-            [_split.options(num_returns=n_shards).remote(r, n_shards) for r in refs]
+            [_split.options(num_returns=n_shards).remote(r, n_shards, i) for r in refs]
         )
     if n_shards == 1:
         split_refs = [[[r] for r in refs] for refs in split_refs]
@@ -433,19 +465,22 @@ def keyed_fold(ds, key_col: str, partial, combine):
     keys form one group, sorted last, as in SQL ``GROUP BY``. Every key
     appears in exactly one shard; the output has no global key order.
 
-    Ray passes zero-row blocks through map_batches without calling the UDF,
-    so they reach the exchange untagged, with their upstream schema. A shard
-    whose table is such a block (it got no rows, and an untagged empty piece
-    was the widest) returns a zero-row, zero-column table, as Ray groupby
-    does for an empty partition.
+    Zero-row blocks reach the exchange untagged, with their upstream schema
+    (neither Ray Data nor the exchange's split task calls a map on them). A
+    shard whose table is such a block (it got no rows, and an untagged empty
+    piece was the widest) returns a zero-row, zero-column table, as Ray
+    groupby does for an empty partition.
+
+    Ray Data work: none on a materialized input, where partial and tag run
+    inside the exchange's split tasks; one stage on a lazy input, the
+    partials fused with the stages upstream.
     """
     from ray.data.dataset import MaterializedDataset
 
     # n_shards must be known before the rows are tagged. A materialized
     # input has as many blocks as its partials will have, so partial and tag
-    # run as one stage; a lazy input's block count is known only once it has
-    # run, so its partials (fused with the stages upstream) run and
-    # materialize first, and the tag runs as a second, partial-sized stage.
+    # run together in the split tasks; a lazy input's block count is known
+    # only once it has run, so its partials run and materialize first.
     fused = isinstance(ds, MaterializedDataset)
     if not fused:
         ds = ds.map_batches(partial, batch_format="pyarrow", batch_size=None).materialize()
@@ -471,8 +506,7 @@ def keyed_fold(ds, key_col: str, partial, combine):
             starts = np.append(starts, n_valid)
         return combine(tbl, starts, np.diff(np.append(starts, n)))
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
-    return hash_exchange(tagged, "_shard", n_shards, fold_shard)
+    return hash_exchange(ds, "_shard", n_shards, fold_shard, map_fn=tag)
 
 
 def _sum_combine(key_col: str, value_col: str):
@@ -547,6 +581,11 @@ def radius_join(
     of a probe's coarse cells hash to the same shard. The in-shard merge is
     a sorted searchsorted range join (pure NumPy — no pandas hash merge).
     Only (coarse, cell, id, x, y, z) enters the shuffle — never payloads.
+
+    Exchange: one two-sided ``hash_exchange`` over ``(left_ds, right_ds)``
+    with the probe explode and the build keying as its per-side
+    ``map_fn``, so on materialized inputs both run inside the split tasks.
+    Each shard's join gets one table per side; no side column is shipped.
     """
     if order is None:
         order = safe_join_order(radius_deg)
@@ -573,7 +612,6 @@ def radius_join(
                 "shard": pa.array(_hash_shard(route, n_shards)),
                 "coarse": pa.array(route),
                 "cell": pa.array(pix[rep]),
-                "side": pa.array(np.zeros(len(rep), dtype=np.int8)),
                 "id": pa.array(tbl[id_col].to_numpy(zero_copy_only=False)[rep]),
                 "x": pa.array(tbl["x"].to_numpy(zero_copy_only=False)[rep]),
                 "y": pa.array(tbl["y"].to_numpy(zero_copy_only=False)[rep]),
@@ -589,17 +627,12 @@ def radius_join(
                 "shard": pa.array(_hash_shard(coarse, n_shards)),
                 "coarse": pa.array(coarse),
                 "cell": pa.array(pix),
-                "side": pa.array(np.ones(len(tbl), dtype=np.int8)),
                 "id": tbl[id_col],
                 "x": tbl["x"],
                 "y": tbl["y"],
                 "z": tbl["z"],
             }
         )
-
-    probes = left_ds.map_batches(explode_left, batch_format="pyarrow", batch_size=None)
-    builds = right_ds.map_batches(key_right, batch_format="pyarrow", batch_size=None)
-    both = probes.union(builds)
 
     empty_cols = {
         left_id: pa.array([], type=pa.int64()),
@@ -609,23 +642,19 @@ def radius_join(
         empty_cols["dist2"] = pa.array([], type=pa.float64())
     empty = pa.table(empty_cols)
 
-    def join_shard(tbl: pa.Table) -> pa.Table:
-        side = tbl["side"].to_numpy(zero_copy_only=False)
-        is_b = side == 1
-        if not is_b.any() or is_b.all():
+    def join_shard(probes: pa.Table, builds: pa.Table) -> pa.Table:
+        if probes.num_rows == 0 or builds.num_rows == 0:
             return empty
-        cell = tbl["cell"].to_numpy(zero_copy_only=False)
-        ids = tbl["id"].to_numpy(zero_copy_only=False)
-        xs = tbl["x"].to_numpy(zero_copy_only=False)
-        ys = tbl["y"].to_numpy(zero_copy_only=False)
-        zs = tbl["z"].to_numpy(zero_copy_only=False)
+
+        def col(t, name):
+            return t[name].to_numpy(zero_copy_only=False)
+
         # build side sorted by fine cell for range lookups
-        b_idx = np.flatnonzero(is_b)
-        b_order = b_idx[np.argsort(cell[b_idx], kind="stable")]
-        bc = cell[b_order]
-        p_idx = np.flatnonzero(~is_b)
-        p_cell = cell[p_idx]
-        p_route = tbl["coarse"].to_numpy(zero_copy_only=False)[p_idx]
+        b_cell = col(builds, "cell")
+        b_order = np.argsort(b_cell, kind="stable")
+        bc = b_cell[b_order]
+        p_cell = col(probes, "cell")
+        p_route = col(probes, "coarse")
         # re-derive each probe copy's patch; keep only cells in its routing
         # coarse cell (pair-uniqueness under shard hash collisions)
         patch = _patch_cells(order, p_cell)  # (P, 9)
@@ -644,21 +673,24 @@ def radius_join(
         starts = np.concatenate([[0], np.cumsum(cnt)[:-1]])
         within = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
         cand_b = b_order[lo.ravel()[rep_pj] + within]
-        cand_p = p_idx[rep_pj // 9]
-        dx = xs[cand_p] - xs[cand_b]
-        dy = ys[cand_p] - ys[cand_b]
-        dz = zs[cand_p] - zs[cand_b]
+        cand_p = rep_pj // 9
+        dx = col(probes, "x")[cand_p] - col(builds, "x")[cand_b]
+        dy = col(probes, "y")[cand_p] - col(builds, "y")[cand_b]
+        dz = col(probes, "z")[cand_p] - col(builds, "z")[cand_b]
         d2 = dx * dx + dy * dy + dz * dz
         m = d2 <= thresh
         cols = {
-            left_id: pa.array(ids[cand_p[m]]),
-            right_id: pa.array(ids[cand_b[m]]),
+            left_id: pa.array(col(probes, "id")[cand_p[m]]),
+            right_id: pa.array(col(builds, "id")[cand_b[m]]),
         }
         if with_dist2:
             cols["dist2"] = pa.array(d2[m])
         return pa.table(cols)
 
-    return hash_exchange(both, "shard", n_shards, join_shard)
+    return hash_exchange(
+        (left_ds, right_ds), "shard", n_shards, join_shard,
+        map_fn=(explode_left, key_right),
+    )
 
 
 def crossmatch_best(
@@ -915,8 +947,7 @@ def dedup_rows(
         out = df[head].drop(columns=["_shard"])
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    tagged = ds.map_batches(add_salt, batch_format="pyarrow", batch_size=None)
-    return hash_exchange(tagged, "_shard", n_shards, first_per_key)
+    return hash_exchange(ds, "_shard", n_shards, first_per_key, map_fn=add_salt)
 
 
 # ------------------------------------------------------------- equi-join
@@ -1046,9 +1077,10 @@ def equi_join(
     def join_shard(ta: pa.Table, tb: pa.Table) -> pa.Table:
         return _merge_shard(ta, tb, on, right_on, how)
 
-    left = left_ds.map_batches(_shard_tagger(on, n_shards), batch_format="pyarrow", batch_size=None)
-    right = right_ds.map_batches(_shard_tagger(right_on, n_shards), batch_format="pyarrow", batch_size=None)
-    return hash_exchange((left, right), "_shard", n_shards, join_shard)
+    return hash_exchange(
+        (left_ds, right_ds), "_shard", n_shards, join_shard,
+        map_fn=(_shard_tagger(on, n_shards), _shard_tagger(right_on, n_shards)),
+    )
 
 
 def _drop_shard(t: pa.Table) -> pa.Table:
@@ -1205,9 +1237,10 @@ def _filter_join(left_ds, right_ds, on, right_on, how, n_shards, broadcast):
             mask = pc.invert(mask)
         return left.filter(pc.fill_null(mask, False))
 
-    left = left_ds.map_batches(_shard_tagger(on, n_shards), batch_format="pyarrow", batch_size=None)
-    right = right_ds.map_batches(_shard_tagger(right_on, n_shards), batch_format="pyarrow", batch_size=None)
-    return hash_exchange((left, right), "_shard", n_shards, filter_shard)
+    return hash_exchange(
+        (left_ds, right_ds), "_shard", n_shards, filter_shard,
+        map_fn=(_shard_tagger(on, n_shards), _shard_tagger(right_on, n_shards)),
+    )
 
 
 def detect_hot_keys(ds, col: str, *, frac_threshold: float = 0.05, max_keys: int = 64):
@@ -1335,9 +1368,9 @@ def _salted_join(left_ds, right_ds, on, right_on, how, n_shards, hot_keys, n_sal
     def join_shard(ta: pa.Table, tb: pa.Table) -> pa.Table:
         return _merge_shard(ta, tb, on, right_on, how)
 
-    left = left_ds.map_batches(tag_left, batch_format="pyarrow", batch_size=None)
-    right = right_ds.map_batches(tag_right, batch_format="pyarrow", batch_size=None)
-    return hash_exchange((left, right), "_shard", total, join_shard)
+    return hash_exchange(
+        (left_ds, right_ds), "_shard", total, join_shard, map_fn=(tag_left, tag_right)
+    )
 
 
 def asof_join(
@@ -1397,9 +1430,10 @@ def asof_join(
         )
         return pa.Table.from_pandas(merged, preserve_index=False)
 
-    left = left_ds.map_batches(_shard_tagger(by, n_shards), batch_format="pyarrow", batch_size=None)
-    right = right_ds.map_batches(_shard_tagger(right_by, n_shards), batch_format="pyarrow", batch_size=None)
-    return hash_exchange((left, right), "_shard", n_shards, join_shard)
+    return hash_exchange(
+        (left_ds, right_ds), "_shard", n_shards, join_shard,
+        map_fn=(_shard_tagger(by, n_shards), _shard_tagger(right_by, n_shards)),
+    )
 
 
 def attach_columns(
@@ -2265,32 +2299,26 @@ def connected_components(
             {"node": pa.array(m["node"].to_numpy()), "label": pa.array(lab2)}
         )
 
+    by_node = _shard_tagger("node", n_shards)
     prev_sum = None
     for _ in range(max_iters):
-        labels_tagged = labels.map_batches(
-            _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
+        cand = hash_exchange(
+            (edges, labels), "_shard", n_shards, prop_shard, map_fn=(None, by_node)
         )
-        cand = hash_exchange((edges, labels_tagged), "_shard", n_shards, prop_shard)
         # min-combine via the repo's hash exchange (segment-min per shard)
         # rather than Ray's sort-based groupby: no per-round global sort,
         # and no schema-less empty blocks in the loop state
-        tagged = labels.union(cand).map_batches(
-            _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
+        labels = hash_exchange(
+            labels.union(cand), "_shard", n_shards, min_by_node, map_fn=by_node
         )
-        labels = hash_exchange(tagged, "_shard", n_shards, min_by_node)
         # pointer-doubling pass (label' = label[label]): collapses chain
         # components in O(log diameter) rounds instead of O(diameter) —
         # min-label result is unchanged (labels only ever DECREASE toward
         # the component min; following one extra hop is still a component
         # member's label)
-        by_label = labels.map_batches(
-            _shard_tagger("label", n_shards), batch_format="pyarrow", batch_size=None
-        )
-        by_node = labels.map_batches(
-            _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
-        )
         labels = hash_exchange(
-            (by_label, by_node), "_shard", n_shards, shortcut_shard
+            (labels, labels), "_shard", n_shards, shortcut_shard,
+            map_fn=(_shard_tagger("label", n_shards), by_node),
         ).materialize()
         cur = labels.sum("label")
         if cur == prev_sum:
@@ -2335,10 +2363,10 @@ def cluster_canonical(
             {node_col: pa.array(c[idx]), "cluster_size": pa.array(sizes.astype(np.int64))}
         )
 
-    tagged = clusters_ds.map_batches(
-        _shard_tagger(cluster_col, n_shards), batch_format="pyarrow", batch_size=None
+    return hash_exchange(
+        clusters_ds, "_shard", n_shards, per_shard,
+        map_fn=_shard_tagger(cluster_col, n_shards),
     )
-    return hash_exchange(tagged, "_shard", n_shards, per_shard)
 
 
 def pagerank_int(
@@ -2436,14 +2464,9 @@ def pagerank_int(
             }
         )
 
-    nodes_tagged = nodes.map_batches(
-        _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
-    )
-    degs_tagged = degs.map_batches(
-        _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
-    )
+    by_node = _shard_tagger("node", n_shards)
     ranks = hash_exchange(
-        (nodes_tagged, degs_tagged), "_shard", n_shards, attach_deg
+        (nodes, degs), "_shard", n_shards, attach_deg, map_fn=by_node
     ).materialize()
 
     def contrib_shard(te: pa.Table, tl: pa.Table) -> pa.Table:
@@ -2511,19 +2534,12 @@ def pagerank_int(
         )
 
     for _ in range(iters):
-        ranks_tagged = ranks.map_batches(
-            _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
+        contrib = hash_exchange(
+            (edges, ranks), "_shard", n_shards, contrib_shard, map_fn=(None, by_node)
         )
-        contrib = hash_exchange((edges, ranks_tagged), "_shard", n_shards, contrib_shard)
-        contrib_tagged = contrib.map_batches(
-            _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
-        )
-        sums = hash_exchange(contrib_tagged, "_shard", n_shards, sum_shard)
-        sums_tagged = sums.map_batches(
-            _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
-        )
+        sums = hash_exchange(contrib, "_shard", n_shards, sum_shard, map_fn=by_node)
         ranks = hash_exchange(
-            (ranks_tagged, sums_tagged), "_shard", n_shards, update_shard
+            (ranks, sums), "_shard", n_shards, update_shard, map_fn=by_node
         ).materialize()
 
     def project(tbl: pa.Table) -> pa.Table:
@@ -2608,15 +2624,14 @@ def bfs_hops(
         heads = np.concatenate(([True], n[1:] != n[:-1]))
         return pa.table({"node": pa.array(n[heads]), "hop": pa.array(h[heads])})
 
+    by_node = _shard_tagger("node", n_shards)
     for _ in range(iters):
-        lt = labels.map_batches(
-            _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
+        cand = hash_exchange(
+            (edges, labels), "_shard", n_shards, expand_shard, map_fn=(None, by_node)
         )
-        cand = hash_exchange((edges, lt), "_shard", n_shards, expand_shard)
-        tagged = labels.union(cand).map_batches(
-            _shard_tagger("node", n_shards), batch_format="pyarrow", batch_size=None
-        )
-        labels = hash_exchange(tagged, "_shard", n_shards, min_by_node).materialize()
+        labels = hash_exchange(
+            labels.union(cand), "_shard", n_shards, min_by_node, map_fn=by_node
+        ).materialize()
 
     def project(tbl: pa.Table) -> pa.Table:
         return pa.table({node_col: tbl["node"], "hops": tbl["hop"]})
@@ -2750,10 +2765,9 @@ def window_rank(
             t = t.append_column(part_size_col, pa.array(size))
         return t
 
-    tagged = ds.map_batches(
-        _shard_tagger(part_col, n_shards), batch_format="pyarrow", batch_size=None
+    return hash_exchange(
+        ds, "_shard", n_shards, per_shard, map_fn=_shard_tagger(part_col, n_shards)
     )
-    return hash_exchange(tagged, "_shard", n_shards, per_shard)
 
 
 # ------------------------------------------------------- triangle count
@@ -3223,5 +3237,4 @@ def proximity_count(
             }
         )
 
-    keyed_ds = ds.map_batches(keyed, batch_format="pyarrow", batch_size=None)
-    return hash_exchange(keyed_ds, "shard", n_shards, shard)
+    return hash_exchange(ds, "shard", n_shards, shard, map_fn=keyed)

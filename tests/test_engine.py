@@ -747,6 +747,36 @@ def test_connected_components_vs_union_find(ray_session):
     assert got == want
 
 
+def test_connected_components_iterative_vs_union_find(ray_session):
+    """The distributed rounds (small_edge_limit=0 skips the one-task solve)
+    on a random graph spread over several blocks, whose labels and edges
+    are keyed inside the exchanges' split tasks, against union-find."""
+    import pyarrow as pa
+    import ray
+
+    rng = np.random.default_rng(11)
+    n = 300
+    pairs = [tuple(sorted(p)) for p in rng.integers(0, n, size=(260, 2)) if p[0] != p[1]]
+    left, right = (pa.array([p[i] for p in pairs], pa.int64()) for i in (0, 1))
+    cut = len(pairs) // 3
+    edges = ray.data.from_arrow(
+        [
+            pa.table({"left_id": left[lo:hi], "right_id": right[lo:hi]})
+            for lo, hi in ((0, cut), (cut, cut), (cut, len(pairs)))
+        ]
+    )
+    nodes = ray.data.from_arrow(
+        [pa.table({"doc_id": pa.array(range(lo, lo + 100), pa.int64())}) for lo in (0, 100, 200)]
+    )
+    got = (
+        ops.connected_components(edges, nodes, n_shards=8, small_edge_limit=0)
+        .to_pandas()
+        .set_index("doc_id")["cluster_id"]
+        .to_dict()
+    )
+    assert got == _union_find_components(n, pairs)
+
+
 def test_connected_components_long_chain(ray_session):
     import pyarrow as pa
     import ray

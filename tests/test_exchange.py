@@ -5,8 +5,12 @@ Arrow blocks, empty-schema blocks from a groupby, zero-row pandas blocks)
 or an extreme key layout (one shard, one hot key, more pieces than
 EXCHANGE_PIECE_BUDGET). The reducer reports, per shard and per side, the
 row count and a checksum of the sorted values; the reference applies the
-same reducer to shards cut with NumPy masks in the driver.
+same reducer to shards cut with NumPy masks in the driver. The same cases
+run again with the shard key re-added by the exchange's ``map_fn``. Then
+come keyed_fold against pandas groupby and radius_join against all pairs.
 """
+
+import math
 
 import numpy as np
 import pandas as pd
@@ -163,6 +167,83 @@ def test_exchange_matches_numpy_reference(ray_session, case, n_sides):
     got = got.sort_values("shard").reset_index(drop=True)
     assert (got["n_keys"] == 1).all()
     pd.testing.assert_frame_equal(got, exp)
+
+
+def _shard_renamers():
+    """(strip, retag): strip renames ``_shard`` to ``k``, and retag, the
+    exchange's map_fn, appends ``_shard`` again from ``k``. Closures, so
+    Ray pickles them by value."""
+
+    def strip(tbl: pa.Table) -> pa.Table:
+        return tbl.rename_columns(["k" if c == "_shard" else c for c in tbl.column_names])
+
+    def retag(tbl: pa.Table) -> pa.Table:
+        return tbl.append_column("_shard", tbl["k"])
+
+    return strip, retag
+
+
+@pytest.mark.parametrize("materialized", [True, False], ids=["materialized", "lazy"])
+@pytest.mark.parametrize("sides", ["one", "two", "two_none"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_exchange_map_fn_matches_numpy_reference(ray_session, case, sides, materialized):
+    """The CASES matrix with ``_shard`` renamed away and re-added by
+    ``map_fn``: the split tasks (materialized input) or a fused map_batches
+    (lazy input) must tag the same rows, leave the zero-row blocks alone and
+    give the reference frame. ``two_none`` maps only the first side; the
+    second keeps its own ``_shard``."""
+    import ray
+
+    make, n_shards = CASES[case]
+    rng = np.random.RandomState(sum(map(ord, case)))
+    n_sides = 1 if sides == "one" else 2
+    strip, retag = _shard_renamers()
+    made, frames = zip(*[make(ray, rng, n_shards) for _ in range(n_sides)])
+    stripped = []
+    for i, ds in enumerate(made):
+        if sides == "two_none" and i == 1:
+            stripped.append(ds.materialize() if materialized else ds)
+            continue
+        ds = ds.map_batches(strip, batch_format="pyarrow", batch_size=None)
+        if materialized:
+            ds = ds.materialize()
+            # the stripped blocks keep the shapes the case was built for
+            before = ray.get(ops.block_refs(made[i]))
+            after = ray.get(ops.block_refs(ds))
+            assert [len(b) == 0 for b in after] == [len(b) == 0 for b in before]
+        stripped.append(ds)
+    map_fn = {"one": retag, "two": retag, "two_none": (retag, None)}[sides]
+    ds = tuple(stripped) if n_sides == 2 else stripped[0]
+    got = ops.hash_exchange(ds, "_shard", n_shards, _summarizer(), map_fn=map_fn)
+    got = got.to_pandas().sort_values("shard").reset_index(drop=True)
+    assert (got["n_keys"] == 1).all()
+    pd.testing.assert_frame_equal(got, _reference(frames, n_shards))
+
+
+def test_materialized_inputs_build_no_map_batches(ray_session, monkeypatch):
+    """On materialized inputs the exchange's map runs in its split tasks:
+    hash_exchange with map_fn, keyed_fold (tile_counts) and radius_join
+    build no Ray Data map stage."""
+    import ray
+
+    rng = np.random.RandomState(3)
+    strip, retag = _shard_renamers()
+    frames = [_rows(rng, n, 8) for n in (0, 300, 500)]
+    rows = ray.data.from_arrow(
+        [strip(pa.Table.from_pandas(f, preserve_index=False)) for f in frames]
+    )
+    points = ray.data.from_arrow(_points(np.random.RandomState(4), (400, 0, 300)))
+
+    def no_map_batches(*args, **kwargs):
+        raise AssertionError("map_batches called on a materialized input")
+
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", no_map_batches)
+    got = ops.hash_exchange(rows, "_shard", 8, _summarizer(), map_fn=retag).to_pandas()
+    pd.testing.assert_frame_equal(
+        got.sort_values("shard").reset_index(drop=True), _reference([pd.concat(frames)], 8)
+    )
+    assert ops.tile_counts(points, 1.0).to_pandas()["sum(partial)"].sum() == 700
+    assert ops.radius_join(points, points, 2.0, id_col="id", n_shards=16).count() >= 700
 
 
 def test_two_sided_zero_row_pandas_object_block(ray_session):
@@ -389,3 +470,77 @@ def test_tile_and_cell_counts_contract(ray_session, lazy):
         uniq, cnt = np.unique(keys, return_counts=True)
         np.testing.assert_array_equal(k[order], uniq)
         np.testing.assert_array_equal(got[val].to_numpy()[order], cnt)
+
+
+# ------------------------------------------------------------ radius_join
+def _points(rng, sizes, cap=None, id0=0):
+    """Arrow blocks of encoded points (id, lon, lat, x, y, z, hpx20), ids
+    from ``id0`` up: uniform over the sphere, or uniform in the lon/lat box
+    ``cap = (lon, lat, half_width_deg)``."""
+    out = []
+    for n in sizes:
+        if cap is None:
+            lon = rng.uniform(0.0, 360.0, n)
+            lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
+        else:
+            lon = cap[0] + rng.uniform(-cap[2], cap[2], n)
+            lat = cap[1] + rng.uniform(-cap[2], cap[2], n)
+        tbl = pa.table({"id": np.arange(id0, id0 + n, dtype=np.int64), "lon": lon, "lat": lat})
+        out.append(ops.encode_batch(tbl, lon_col="lon", lat_col="lat", htm_level=None))
+        id0 += n
+    return out
+
+
+def _brute_pairs(left, right, radius_deg):
+    """Every (left_id, right_id, dist2) within radius_deg, all pairs in NumPy."""
+    lt, rt = pa.concat_tables(left), pa.concat_tables(right)
+    d2 = sum(
+        (lt[c].to_numpy()[:, None] - rt[c].to_numpy()[None, :]) ** 2 for c in "xyz"
+    )
+    s = math.sin(radius_deg * 0.5 * ops.RAD)
+    i, j = np.nonzero(d2 <= 4.0 * s * s)
+    return pd.DataFrame(
+        {"left_id": lt["id"].to_numpy()[i], "right_id": rt["id"].to_numpy()[j], "dist2": d2[i, j]}
+    )
+
+
+def _pair_frame(ds) -> pd.DataFrame:
+    return ds.to_pandas().sort_values(["left_id", "right_id"]).reset_index(drop=True)
+
+
+# a dense 6-degree box straddling coarse cells, next to uniform points
+_CAP = (120.0, 30.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "case", ["self_materialized", "self_lazy", "sparse_left", "sparse_right"]
+)
+def test_radius_join_matches_brute_force(ray_session, case):
+    """radius_join's pair set and dist2 values equal an all-pairs NumPy
+    reference. In the sparse cases one side has 5 rows, so at most 45 of
+    the 64 shards get a row of it (a probe goes to at most 9 shards), and
+    the two sides' ids are disjoint, so a join that mixed up its probe and
+    build tables would emit wrong pairs."""
+    import ray
+
+    radius = 0.2
+    rng = np.random.RandomState(sum(map(ord, case)))
+    dense = _points(rng, (400, 0, 600), cap=_CAP) + _points(rng, (500,), id0=1000)
+    sparse = _points(rng, (2, 0, 3), cap=_CAP, id0=1 << 40)
+    left, right = {
+        "sparse_left": (sparse, dense),
+        "sparse_right": (dense, sparse),
+    }.get(case, (dense, dense))
+    lds, rds = ray.data.from_arrow(left), ray.data.from_arrow(right)
+    if case == "self_lazy":
+        lds = rds = lds.map_batches(lambda t: t, batch_format="pyarrow", batch_size=None)
+    exp = _brute_pairs(left, right, radius)
+    # more pairs than the smaller side has rows: a self-join's are not all i == j
+    assert len(exp) > min(sum(map(len, left)), sum(map(len, right)))
+    kw = dict(id_col="id", n_shards=64)
+    got = _pair_frame(ops.radius_join(lds, rds, radius, with_dist2=True, **kw))
+    pd.testing.assert_frame_equal(
+        got, exp.sort_values(["left_id", "right_id"]).reset_index(drop=True)
+    )
+    ids = _pair_frame(ops.radius_join(lds, rds, radius, **kw))
+    pd.testing.assert_frame_equal(ids, got[["left_id", "right_id"]])
